@@ -677,7 +677,7 @@ def run_capacity(cfg: ExperimentConfig):
                       growth_cap=p["growth_cap"], **mesh_kwargs)
     annulus = tuple(_float_list(p["annulus"], "annulus"))
     cap, pot = extract_capacity(mesh, A, phi, ops, annulus=annulus,
-                                closure=p["closure"], jobs=cfg.jobs)
+                                closure=p["closure"])
     log.info("capacity: defect %.4f, iterations %s, warning %s",
              cap.symmetry_defect, cap.iterations.tolist(), cap.warning)
     outputs = {cfg.output: capacity_json(cap)}

@@ -9,6 +9,14 @@ node-major: dof = node * ncomp + component.
 Assembly is deterministic: elements are processed in lexicographic order and
 duplicate COO entries are summed by scipy in a fixed order, so repeated runs
 produce bit-identical matrices.
+
+Direct solves share one path, EliminationSolver: it drops the Dirichlet dofs,
+factors the free block once and then solves any number of right-hand sides
+per call.  Systems assembled on a grid remember its shape, and their free
+block is factored in geometric nested-dissection order (George 1973) with
+SuperLU's own column ordering switched off; that ordering keeps the L+U fill
+of the 3D layer box about a third below COLAMD's.  Other systems keep
+SuperLU's default ordering.
 """
 from __future__ import annotations
 
@@ -186,6 +194,7 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     constraints: ConstraintSet
+    grid_shape: tuple | None = None   # node grid of an assembled Q1 system
 
     @property
     def n(self) -> int:
@@ -283,7 +292,8 @@ def assemble_elastic(grid: StructuredGrid, A: np.ndarray,
                        (np.concatenate(rows_all), np.concatenate(cols_all))),
                       shape=(n, n)).tocsr()
     K.sum_duplicates()
-    return SparseSystem(matrix=K, rhs=np.zeros(n), constraints=constraints)
+    return SparseSystem(matrix=K, rhs=np.zeros(n), constraints=constraints,
+                        grid_shape=grid.shape)
 
 
 def assemble_pointwise_form(grid: StructuredGrid, W: np.ndarray,
@@ -360,12 +370,45 @@ def assemble_load(grid: StructuredGrid, f: Callable[[np.ndarray], np.ndarray],
 # constraint elimination and solvers
 # ---------------------------------------------------------------------------
 
+def nested_dissection(shape: Sequence[int]) -> np.ndarray:
+    """Nested-dissection order of the nodes of a grid of the given shape.
+
+    Each box is cut across its longest axis by its middle node plane; the
+    two halves come first, each ordered the same way, and the plane last.
+    On a Q1 grid the plane separates the halves, so eliminating in this
+    order confines fill to the separators.  Boxes with fewer than 3 nodes
+    along every axis keep the natural order.
+    Returns the node ids (C order of shape) in elimination order.
+    """
+    out = []
+
+    def visit(block):
+        axis = int(np.argmax(block.shape))
+        n = block.shape[axis]
+        if n < 3:
+            out.append(block.ravel())
+            return
+        low, plane, high = np.split(block, [n // 2, n // 2 + 1], axis=axis)
+        visit(low)
+        visit(high)
+        out.append(plane.ravel())
+
+    visit(np.arange(int(np.prod(shape))).reshape(tuple(shape)))
+    return np.concatenate(out)
+
+
 class EliminationSolver:
     """Splits fixed/free dofs once and factors the free block for reuse.
 
     Capacity extraction and eigen iterations repeatedly solve with the same
     matrix and varying boundary data; a single sparse LU shared across those
-    solves replaces thousands of CG iterations.
+    solves replaces thousands of CG iterations.  For a system assembled on a
+    grid (``grid_shape`` set) the free block is permuted into
+    nested-dissection order and factored without further column ordering or
+    pivoting, which an SPD block does not need; otherwise SuperLU picks its
+    default ordering and pivots.
+    ``solve`` takes one set of boundary values (n_fixed,) or a batch
+    (n_fixed, k) and solves all k right-hand sides in one triangular sweep.
     """
 
     def __init__(self, system: SparseSystem, direct: bool = True):
@@ -382,31 +425,61 @@ class EliminationSolver:
         self.Kff = Kcsr[self.free][:, self.free].tocsc()
         self.Kfc = Kcsr[self.free][:, fixed].tocsr() if len(fixed) else None
         self.base_rhs = system.rhs
+        self._perm = None
+        shape = system.grid_shape
+        if shape is not None:
+            ncomp = n // int(np.prod(shape))
+            dofs = (nested_dissection(shape)[:, None] * ncomp
+                    + np.arange(ncomp)).ravel()
+            rank = np.empty(n, dtype=int)
+            rank[dofs] = np.arange(n)
+            self._perm = np.argsort(rank[self.free], kind="stable")
         self._lu = None
         if direct and self.Kff.shape[0]:
-            try:
-                self._lu = spla.splu(self.Kff)
-            except RuntimeError as exc:
-                raise SolverError(f"factorization failed: {exc}")
+            self.refactor(self.Kff)
+
+    def refactor(self, matrix) -> None:
+        """Factor another matrix on the free dofs (in free order), such as a
+        shifted operator, in place of the current factorization."""
+        try:
+            if self._perm is None:
+                self._lu = spla.splu(sp.csc_matrix(matrix))
+            else:
+                p = self._perm
+                self._lu = spla.splu(
+                    sp.csr_matrix(matrix)[p][:, p].tocsc(),
+                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise SolverError(f"factorization failed: {exc}")
 
     def solve(self, fixed_values: np.ndarray | None = None,
               body_rhs: np.ndarray | None = None) -> np.ndarray:
+        """Full solution(s) for the given boundary values: (n,) for data
+        (n_fixed,), (n, k) for a batch (n_fixed, k)."""
         fv = self.fixed_values if fixed_values is None else \
             np.asarray(fixed_values, dtype=float)
         rhs = self.base_rhs if body_rhs is None else body_rhs
         b = rhs[self.free].astype(float)
+        if fv.ndim == 2:
+            b = np.repeat(b[:, None], fv.shape[1], axis=1)
         if self.Kfc is not None:
             b = b - self.Kfc @ fv
-        x = np.zeros(self.n)
+        x = np.zeros((self.n,) + fv.shape[1:])
         x[self.fixed] = fv
         if self._lu is not None:
-            x[self.free] = self._lu.solve(b)
+            x[self.free] = self.solve_free(b)
         elif len(self.free):
             raise SolverError("no factorization available")
         return x
 
     def solve_free(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(b)
+        """Kff^{-1} b for b of shape (n_free,) or (n_free, k)."""
+        if self._perm is None:
+            return self._lu.solve(b)
+        x = np.empty_like(b, dtype=float)
+        x[self._perm] = self._lu.solve(b[self._perm])
+        return x
 
 
 def _jacobi_cg(K: sp.csr_matrix, b: np.ndarray, tol: float, maxiter: int):
@@ -507,7 +580,7 @@ def solve_constrained(system: SparseSystem, tol: float = 1e-10):
     lam_full = np.zeros(len(system.constraints.lagrange))
     if rows:
         C = np.vstack(rows)
-        Y = np.column_stack([solver.solve_free(C[i]) for i in range(len(rows))])
+        Y = solver.solve_free(C.T)
         S = C @ Y
         resid = C @ x0 - np.asarray(targets)
         try:
@@ -553,11 +626,10 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6,
     if mx <= 0 or not np.isfinite(mx):
         raise SolverError("mass matrix not positive on the subspace")
     x /= np.sqrt(mx)
-    lu = solver._lu
     res = np.inf
     lam = float(x @ (Kff @ x))
     for it in range(1, maxiter + 1):
-        y = lu.solve(Mff @ x)
+        y = solver.solve_free(Mff @ x)
         my = float(y @ (Mff @ y))
         if my <= 0 or not np.isfinite(my):
             raise SolverError("mass matrix not positive on the subspace")
@@ -578,8 +650,8 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6,
             # so the shifted operator remains safely nonsingular
             rho = lam - max(abs(lam), 1.0) * 1e-6
             try:
-                lu = spla.splu((Kff - rho * Mff).tocsc())
-            except RuntimeError:
+                solver.refactor(Kff - rho * Mff)
+            except SolverError:
                 pass   # keep the previous factorization
     raise SolverError(
         f"eigen iteration stalled: residual {res:.3e} after {maxiter} steps")

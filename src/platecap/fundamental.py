@@ -74,8 +74,11 @@ def _coeffs(vals: np.ndarray) -> np.ndarray:
 
 
 def _eval_fourier(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    m = _harmonics(len(c))
-    return (np.exp(1j * np.outer(phi, m)) @ c).real
+    """Values at the angles phi; only harmonics with nonzero coefficients
+    are evaluated, which for isotropic fields is a handful of the n."""
+    nz = np.flatnonzero(c)
+    m = _harmonics(len(c))[nz]
+    return (np.exp(1j * np.outer(phi, m)) @ c[nz]).real
 
 
 def _log_cos_coeffs(n: int) -> np.ndarray:
@@ -137,10 +140,6 @@ class LogField:
             a0, b0 = out.get(k, (0.0, 0.0))
             out[k] = (a0 + A, b0 + B)
         return LogField(out, self.n)
-
-    def scaled(self, s) -> "LogField":
-        return LogField({k: (s * A, s * B) for k, (A, B) in self.terms.items()},
-                        self.n)
 
     def scaled(self, factor: float) -> "LogField":
         return LogField({k: (factor * A, factor * B)

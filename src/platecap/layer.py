@@ -24,7 +24,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -588,11 +587,6 @@ class FarFieldExpansion:
         down per derivative."""
         return self._eval_rows(self._deriv_rows(col, tuple(axes)), points)
 
-    def eval_dipole(self, col: int, axis: int,
-                    points: np.ndarray) -> np.ndarray:
-        """In-plane derivative (axis 1 or 2) of far-field column col."""
-        return self.eval_derivative(col, (axis,), points)
-
     # Columns 2 and 3 stem from one scalar kernel (via -d2 and +d1), so
     # mixed derivatives collide (d1 of column 2 is exactly -d2 of column 3
     # and so on); the listings keep one representative per distinct field.
@@ -846,7 +840,7 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                      tol: float = 1e-6, max_iterations: int = 20,
                      mode: str = "affine", closure: str = "enriched",
                      chi_scale: float = 2.0,
-                     residual_warn: float = 0.25, jobs: int = 1,
+                     residual_warn: float = 0.25,
                      consistency_check: bool = True):
     """Capacity of the clamped patch by far-field matching.
 
@@ -934,83 +928,106 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
             0.0)))
 
     def boundary_solve(bvals: np.ndarray) -> np.ndarray:
-        data = np.zeros((grid.n_nodes, 3))
+        """Box solutions (k, n_nodes, 3) for k sets of outer-wall data
+        (n_outer, 3, k), all k in one batched solve."""
+        k = bvals.shape[2]
+        data = np.zeros((grid.n_nodes, 3, k))
         data[mesh.outer_nodes] = bvals
-        x = solver.solve(fixed_values=data.ravel()[solver.fixed])
-        return x.reshape(-1, 3)
+        x = solver.solve(fixed_values=data.reshape(-1, k)[solver.fixed])
+        return np.moveaxis(x.reshape(grid.n_nodes, 3, k), 2, 0)
 
-    def sweep(col: int, x: np.ndarray):
-        """One literal fixed-point update of column col."""
-        field_vals = boundary_solve(xi_outer[col]
-                                    + np.einsum("qim,m->qi", B_outer, x))
-        fit = fitter.fit_samples(fitter.interpolate(field_vals
-                                                    - xi_nodal[col]))
-        return fit, field_vals
+    def fit_column(col: int, field_vals: np.ndarray) -> FitResult:
+        return fitter.fit_samples(fitter.interpolate(field_vals
+                                                     - xi_nodal[col]))
 
-    # the affine map x -> fit(solve(...)) splits into offset + linear part;
-    # the linear part is column independent, so one solve per basis field
-    # with pure basis outer data measures it once for all columns
-    basis_map = np.empty((m, m))
+    def sweep(cols, xs):
+        """One literal fixed-point update of each column in cols from its
+        coefficients in xs, batched; returns [(fit, field values)]."""
+        walls = np.stack([xi_outer[col] + np.einsum("qim,m->qi", B_outer, x)
+                          for col, x in zip(cols, xs)], axis=2)
+        return [(fit_column(col, vals), vals)
+                for col, vals in zip(cols, boundary_solve(walls))]
+
+    # Every solve that does not depend on a fixed-point iterate goes into
+    # one batch: the basis fields (affine mode), the probe sweep of each
+    # column from x = 0 and the correction carriers.  The affine map
+    # x -> fit(solve(...)) splits into offset + linear part; the linear part
+    # is column independent, so one solve per basis field with pure basis
+    # outer data measures it once for all columns.
+    carriers = _correction_carriers(outer_pts, D_outer)
+    n_basis = m if mode == "affine" else 0
+    first = boundary_solve(np.concatenate(
+        [B_outer[:, :, :n_basis], np.stack(xi_outer, axis=2),
+         np.stack([f for _, f in carriers], axis=2)], axis=2))
     if mode == "affine":
-        for j in range(m):
-            vals = boundary_solve(B_outer[:, :, j])
-            basis_map[:, j] = fitter.fit_samples(
-                fitter.interpolate(vals)).coef
+        basis_map = np.column_stack(
+            [fitter.fit_samples(fitter.interpolate(vals)).coef
+             for vals in first[:m]])
+    carrier_vals = first[n_basis + 4:]
 
-    def run_column(col: int):
-        history = [(np.zeros(m), float("nan"))]
-        fields = None
-        result = None
-        converged = False
-        x = np.zeros(m)
-        start = 1
+    histories = [[(np.zeros(m), float("nan"))] for _ in range(4)]
+    xs = [np.zeros(m) for _ in range(4)]
+    last = [None] * 4          # (fit, field values) of the latest sweep
+    converged = [False] * 4
+    for col in range(4):
+        probe_vals = first[n_basis + col]
+        probe = fit_column(col, probe_vals)
         if mode == "affine":
             # iteration 1 is the closure jump: the update is affine in x,
-            # so a probe sweep from x = 0 measures the offset b and
+            # so the probe sweep from x = 0 measures the offset b and
             # (I - M) x = b closes the fixed point; later literal sweeps
             # only verify it.
-            probe, _ = sweep(col, x)
             if not np.all(np.isfinite(probe.coef)):
                 raise ExtractionError(
-                    f"column {col}: non-finite probe sweep", tuple(history))
-            x = np.linalg.solve(np.eye(m) - basis_map, probe.coef)
-            history.append((x, float(np.linalg.norm(x))))
-            start = 2
-        for k in range(start, max_iterations + 1):
-            fit, fields = sweep(col, x)
-            x_next = fit.coef
-            if not np.all(np.isfinite(x_next)):
-                raise ExtractionError(
-                    f"column {col}: non-finite update at sweep {k}",
-                    tuple(history))
-            delta = float(np.linalg.norm(x_next - x))
-            history.append((x_next, delta))
-            x = x_next
-            result = fit
-            if delta <= tol and k >= 2:
-                converged = True
-                break
-            deltas = [h[1] for h in history[1:]]
-            if len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]:
-                raise ExtractionError(
-                    f"column {col}: fixed point diverging "
-                    f"(deltas {deltas[-3]:.3e}, {deltas[-2]:.3e}, "
-                    f"{deltas[-1]:.3e})", tuple(history))
-        if result is None or fields is None:
-            fit, fields = sweep(col, x)
-            result = fit
-        return x, result, fields, tuple(
-            (tuple(h[0]), h[1]) for h in history), converged
+                    f"column {col}: non-finite probe sweep",
+                    tuple(histories[col]))
+            xs[col] = np.linalg.solve(np.eye(m) - basis_map, probe.coef)
+            histories[col].append((xs[col], float(np.linalg.norm(xs[col]))))
+        else:
+            # the probe is the first literal sweep
+            last[col] = (probe, probe_vals)
 
-    results = [None] * 4
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_column, col): col for col in range(4)}
-            for fut, col in futures.items():
-                results[col] = fut.result()
-    else:
+    def accept(col: int, k: int, fit: FitResult, vals: np.ndarray):
+        """Record sweep k of column col; raise on a non-finite or
+        diverging update."""
+        history = histories[col]
+        x_next = fit.coef
+        if not np.all(np.isfinite(x_next)):
+            raise ExtractionError(
+                f"column {col}: non-finite update at sweep {k}",
+                tuple(history))
+        delta = float(np.linalg.norm(x_next - xs[col]))
+        history.append((x_next, delta))
+        xs[col] = x_next
+        last[col] = (fit, vals)
+        if delta <= tol and k >= 2:
+            converged[col] = True
+            return
+        deltas = [h[1] for h in history[1:]]
+        if len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]:
+            raise ExtractionError(
+                f"column {col}: fixed point diverging "
+                f"(deltas {deltas[-3]:.3e}, {deltas[-2]:.3e}, "
+                f"{deltas[-1]:.3e})", tuple(history))
+
+    if mode == "picard" and max_iterations >= 1:
         for col in range(4):
-            results[col] = run_column(col)
+            accept(col, 1, *last[col])
+    for k in range(2, max_iterations + 1):
+        active = [col for col in range(4) if not converged[col]]
+        if not active:
+            break
+        for col, (fit, vals) in zip(active,
+                                    sweep(active, [xs[c] for c in active])):
+            accept(col, k, fit, vals)
+    todo = [col for col in range(4) if last[col] is None]
+    if todo:
+        # no literal sweep ran (max_iterations below the first one)
+        for col, res in zip(todo, sweep(todo, [xs[c] for c in todo])):
+            last[col] = res
+    results = [(xs[col], last[col][0], last[col][1],
+                tuple((tuple(h[0]), h[1]) for h in histories[col]),
+                converged[col]) for col in range(4)]
 
     X = np.column_stack([r[0] for r in results])
     C = X[:4]
@@ -1024,8 +1041,8 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     # the observed column residual turns the residual into a displacement
     # bound.
     corr_bars = np.zeros((4, 4))
-    for (t, r), wall_field in _correction_carriers(outer_pts, D_outer):
-        vals = fitter.interpolate(boundary_solve(wall_field))
+    for ((t, r), _), solved in zip(carriers, carrier_vals):
+        vals = fitter.interpolate(solved)
         rms = math.sqrt(max((fitter.weights * (vals ** 2).sum(1)).sum()
                             / fitter.total, 0.0))
         fit = fitter.fit_samples(vals)

@@ -336,6 +336,16 @@ class TestCapacityRuns:
         assert C[0, 0] == pytest.approx(C[1, 1], abs=1e-11)
         assert rec["iterations"] == [2, 2, 2, 2]
 
+    def test_jobs_do_not_change_output(self, tmp_path):
+        argv = ["run", "capacity", "--nz", "2", "--inner-step", "0.5",
+                "--growth-cap", "3"]
+        blobs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"c{jobs}.json"
+            assert run_cli(argv + ["--jobs", jobs, "-o", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+
     def test_decay_output_and_theta_radius(self, tmp_path):
         out = tmp_path / "c.json"
         trace = tmp_path / "d.csv"

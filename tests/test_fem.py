@@ -2,13 +2,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
 from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           SolverError, SparseSystem, StructuredGrid,
                           assemble_elastic, assemble_load,
                           assemble_pointwise_form, dump_matrix_market,
-                          smallest_eigenpair, solve_cg, solve_constrained)
+                          nested_dissection, smallest_eigenpair, solve_cg,
+                          solve_constrained)
 
 I6 = np.eye(6)
 
@@ -322,6 +324,64 @@ class TestEliminationSolver:
             assert np.allclose(x[solver.fixed], vals)
             r = (sysm.matrix @ x)[solver.free]
             assert np.linalg.norm(r) < 1e-10
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize("shape", [(9, 6), (5, 7, 4), (39, 39, 7),
+                                       (2, 2, 2)])
+    def test_permutation_of_all_nodes(self, shape):
+        order = nested_dissection(shape)
+        n = int(np.prod(shape))
+        assert order.shape == (n,)
+        assert np.array_equal(np.sort(order), np.arange(n))
+
+    def test_separator_comes_last(self):
+        # the middle plane of the longest axis is eliminated last
+        order = nested_dissection((7, 3))
+        assert np.array_equal(np.sort(order[-3:]), [9, 10, 11])
+
+    @staticmethod
+    def _system(grid, A):
+        cs = ConstraintSet(ncomp=grid.ndim)
+        rng = np.random.default_rng(3)
+        for node in np.union1d(grid.face_nodes(0, 0),
+                               grid.face_nodes(1, 1)):
+            for c in range(grid.ndim):
+                cs.fix(int(node), c, float(rng.normal()))
+        sysm = assemble_elastic(grid, A, cs)
+        sysm.rhs = rng.normal(size=sysm.n)
+        return sysm
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ordered_solver_matches_spsolve(self, dim):
+        if dim == 2:
+            g = StructuredGrid.uniform((0, 0), (1, 2), (6, 9))
+            A = np.diag([3.0, 2.0, 1.0]) + 0.5
+        else:
+            g = StructuredGrid.uniform((0, 0, 0), (1, 1, 1), (4, 5, 3))
+            A = isotropic_stiffness(1.5, 1.0)
+        sysm = self._system(g, A)
+        assert sysm.grid_shape == g.shape
+        solver = EliminationSolver(sysm)
+        x = solver.solve()
+        free, fixed = solver.free, solver.fixed
+        K = sysm.matrix.tocsr()
+        b = sysm.rhs[free] - K[free][:, fixed] @ solver.fixed_values
+        ref = spla.spsolve(K[free][:, free].tocsc(), b)
+        assert np.allclose(x[free], ref, rtol=1e-10,
+                           atol=1e-10 * np.abs(ref).max())
+        assert np.array_equal(x[fixed], solver.fixed_values)
+
+    def test_batched_solve_equals_single_solves(self):
+        g = StructuredGrid.uniform((0, 0, 0), (1, 1, 1), (4, 3, 3))
+        solver = EliminationSolver(self._system(g, isotropic_stiffness(
+            1.0, 1.0)))
+        data = np.random.default_rng(11).normal(size=(len(solver.fixed), 5))
+        X = solver.solve(fixed_values=data)
+        assert X.shape == (solver.n, 5)
+        for j in range(5):
+            x = solver.solve(fixed_values=data[:, j])
+            assert np.abs(X[:, j] - x).max() <= 1e-12 * np.abs(x).max()
 
 
 class TestDump:

@@ -258,3 +258,26 @@ class TestAssemblyAndOutput:
         mem, _ = construct_fundamental(A0_ISO, 64)
         with pytest.raises(SingularityError):
             mem.field(0, 0).eval([[0.0, 0.0]])
+
+    @pytest.mark.parametrize("A0, sparse", [(A0_ISO, True), (A0_RAND, False)])
+    def test_logfield_eval_matches_dense_harmonic_sum(self, A0, sparse):
+        mem, bend = construct_fundamental(A0, 64)
+        g1, g2 = bend.gradient()
+        fields = [mem.field(0, 0), mem.field(0, 1), bend.field(), g2,
+                  g1.d(1).d(2)]
+        spectra = np.array([c for f in fields for pair in f.terms.values()
+                            for c in pair])
+        nonzero = np.count_nonzero(spectra, axis=1)
+        # isotropic fields carry a few low harmonics, anisotropic ones every
+        # even harmonic
+        assert (nonzero.max() <= 8) if sparse else (nonzero.max() >= 31)
+        pts = np.random.default_rng(5).uniform(-3.0, 3.0, size=(200, 2))
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        basis = np.exp(1j * np.outer(np.arctan2(pts[:, 1], pts[:, 0]),
+                                     np.fft.fftfreq(64, d=1.0 / 64)))
+        for f in fields:
+            dense = sum(r ** k * ((basis @ A).real * np.log(r)
+                                  + (basis @ B).real)
+                        for k, (A, B) in f.terms.items())
+            assert np.allclose(f.eval(pts), dense, rtol=1e-12,
+                               atol=1e-12 * np.abs(dense).max())
