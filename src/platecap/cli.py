@@ -26,9 +26,11 @@ import numpy as np
 from .elastic import (InvalidMaterial, check_stiffness, isotropic_stiffness,
                       isotropic_stiffness_exact, material_from_json,
                       reduced_stiffness)
+from .fem import MeshError
 from .fundamental import construct_fundamental, verify_contour_identities
-from .inequalities import (NORM_VARIANTS, SupportLayout, hardy_constant,
-                           hardy_ratio, korn_constant, korn_csv)
+from .inequalities import (NORM_VARIANTS, ContractError, SupportLayout,
+                           hardy_constant, hardy_ratio, korn_constant,
+                           korn_csv)
 from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         manufactured_membrane, operator_coefficients,
                         solution_csv, solve_bending, solve_membrane,
@@ -365,6 +367,17 @@ def _validate_korn(p: dict) -> None:
     p["resolution"] = _positive_int(p["resolution"], "resolution")
     p["nz"] = _positive_int(p["nz"], "nz")
     parse_material(str(p["material"]))
+    for h in hs:
+        try:
+            _korn_layout(p, h)
+        except ContractError as e:
+            raise ConfigError(f"support layout at h={h:g}: {e}")
+
+
+def _korn_layout(p: dict, h: float) -> SupportLayout:
+    centers = tuple(tuple(float(x) for x in pair.split(","))
+                    for pair in p["centers"].split(";"))
+    return SupportLayout(centers=centers, R=1.0, h=h, mode=p["mode"])
 
 
 def _validate_kirchhoff(p: dict) -> None:
@@ -433,6 +446,22 @@ def _validate_capacity(p: dict) -> None:
     if len(w) != 2 or not 0 < w[0] < w[1] < 1:
         raise ConfigError("annulus must be '<a0>,<a1>' with 0<a0<a1<1")
     parse_material(str(p["material"]))
+    try:
+        _capacity_mesh(p)
+    except MeshError as e:
+        raise ConfigError(f"capacity mesh: {e}")
+
+
+def _capacity_mesh(p: dict):
+    theta = str(p["theta"])
+    mesh_kwargs = {}
+    if theta.startswith("disk:"):
+        r = float(theta[5:])
+        mesh_kwargs["theta"] = \
+            lambda eta: np.hypot(eta[:, 0], eta[:, 1]) <= r
+        mesh_kwargs["R_theta"] = r
+    return layer_mesh(T=p["T"], n_z=p["nz"], inner_step=p["inner_step"],
+                      growth_cap=p["growth_cap"], **mesh_kwargs)
 
 
 VALIDATORS = {"hardy": _validate_hardy, "korn-sweep": _validate_korn,
@@ -487,13 +516,10 @@ def run_hardy(cfg: ExperimentConfig):
 def run_korn_sweep(cfg: ExperimentConfig):
     p = cfg.params
     A = parse_material(p["material"])
-    centers = tuple(tuple(float(x) for x in pair.split(","))
-                    for pair in p["centers"].split(";"))
     hs = _float_list(p["h"], "h")
 
     def point(h: float):
-        layout = SupportLayout(centers=centers, R=1.0, h=h, mode=p["mode"])
-        est = korn_constant(layout, A, p["variant"],
+        est = korn_constant(_korn_layout(p, h), A, p["variant"],
                             resolution=p["resolution"], nz=p["nz"])
         log.info("korn h=%g: K=%.6g (cells %d)", h, est.constant,
                  est.mesh_cells)
@@ -666,15 +692,7 @@ def run_capacity(cfg: ExperimentConfig):
     ops = build_dimension_reduction(A)
     A0 = np.array([[float(x) for x in row] for row in ops.reduced])
     phi = construct_fundamental(A0, n_angular=64)
-    theta = str(p["theta"])
-    mesh_kwargs = {}
-    if theta.startswith("disk:"):
-        r = float(theta[5:])
-        mesh_kwargs["theta"] = \
-            lambda eta: np.hypot(eta[:, 0], eta[:, 1]) <= r
-        mesh_kwargs["R_theta"] = r
-    mesh = layer_mesh(T=p["T"], n_z=p["nz"], inner_step=p["inner_step"],
-                      growth_cap=p["growth_cap"], **mesh_kwargs)
+    mesh = _capacity_mesh(p)
     annulus = tuple(_float_list(p["annulus"], "annulus"))
     cap, pot = extract_capacity(mesh, A, phi, ops, annulus=annulus,
                                 closure=p["closure"])

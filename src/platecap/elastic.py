@@ -217,14 +217,20 @@ def apply_strain_operator(u, coords=None):
     return eps
 
 
-def rigid_motion_matrix(xi: Sequence[float]) -> np.ndarray:
-    """3x6 matrix d(xi): columns are 3 translations and 3 rotations."""
-    x1, x2, x3 = xi
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0, x3, -x2],
-        [0.0, 1.0, 0.0, -x3, 0.0, x1],
-        [0.0, 0.0, 1.0, x2, -x1, 0.0],
-    ])
+def rigid_motion_matrix(xi) -> np.ndarray:
+    """3x6 matrix d(xi): columns are 3 translations and 3 rotations.
+
+    xi of shape (3,) gives (3, 6); points of shape (n, 3) give (n, 3, 6).
+    """
+    pts = np.asarray(xi, dtype=float)
+    x1, x2, x3 = np.moveaxis(pts, -1, 0)
+    z = np.zeros_like(x1)
+    o = np.ones_like(x1)
+    return np.stack([
+        np.stack([o, z, z, z, x3, -x2], axis=-1),
+        np.stack([z, o, z, -x3, z, x1], axis=-1),
+        np.stack([z, z, o, x2, -x1, z], axis=-1),
+    ], axis=-2)
 
 
 def rigid_polyfield(c: Sequence) -> PolyField:

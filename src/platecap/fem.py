@@ -1,4 +1,5 @@
-"""Structured-grid finite elements: Q1 quads and hexes, CG, eigenpairs.
+"""Structured-grid finite elements: Q1 quads and hexes, direct and CG
+solves, smallest eigenpairs.
 
 Grids are tensor products of strictly increasing coordinate axes, so element
 Jacobians are diagonal and positive by construction.  Elements sharing the
@@ -16,7 +17,9 @@ per call.  Systems assembled on a grid remember its shape, and their free
 block is factored in geometric nested-dissection order (George 1973) with
 SuperLU's own column ordering switched off; that ordering keeps the L+U fill
 of the 3D layer box about a third below COLAMD's.  Other systems keep
-SuperLU's default ordering.
+SuperLU's default ordering.  The smallest eigenpair of a pencil (K, M)
+comes from ARPACK in shift-invert mode, whose inner solves reuse that one
+factorization of K.
 """
 from __future__ import annotations
 
@@ -400,10 +403,10 @@ def nested_dissection(shape: Sequence[int]) -> np.ndarray:
 class EliminationSolver:
     """Splits fixed/free dofs once and factors the free block for reuse.
 
-    Capacity extraction and eigen iterations repeatedly solve with the same
-    matrix and varying boundary data; a single sparse LU shared across those
-    solves replaces thousands of CG iterations.  For a system assembled on a
-    grid (``grid_shape`` set) the free block is permuted into
+    Capacity extraction and ARPACK's shift-invert steps repeatedly solve with
+    the same matrix and varying right-hand sides; a single sparse LU shared
+    across those solves replaces thousands of CG iterations.  For a system
+    assembled on a grid (``grid_shape`` set) the free block is permuted into
     nested-dissection order and factored without further column ordering or
     pivoting, which an SPD block does not need; otherwise SuperLU picks its
     default ordering and pivots.
@@ -411,7 +414,7 @@ class EliminationSolver:
     (n_fixed, k) and solves all k right-hand sides in one triangular sweep.
     """
 
-    def __init__(self, system: SparseSystem, direct: bool = True):
+    def __init__(self, system: SparseSystem):
         K = system.matrix
         n = K.shape[0]
         fixed, fvals = system.constraints.dirichlet_dofs()
@@ -426,28 +429,22 @@ class EliminationSolver:
         self.Kfc = Kcsr[self.free][:, fixed].tocsr() if len(fixed) else None
         self.base_rhs = system.rhs
         self._perm = None
-        shape = system.grid_shape
-        if shape is not None:
-            ncomp = n // int(np.prod(shape))
-            dofs = (nested_dissection(shape)[:, None] * ncomp
-                    + np.arange(ncomp)).ravel()
-            rank = np.empty(n, dtype=int)
-            rank[dofs] = np.arange(n)
-            self._perm = np.argsort(rank[self.free], kind="stable")
         self._lu = None
-        if direct and self.Kff.shape[0]:
-            self.refactor(self.Kff)
-
-    def refactor(self, matrix) -> None:
-        """Factor another matrix on the free dofs (in free order), such as a
-        shifted operator, in place of the current factorization."""
+        if not len(self.free):
+            return
+        shape = system.grid_shape
         try:
-            if self._perm is None:
-                self._lu = spla.splu(sp.csc_matrix(matrix))
+            if shape is None:
+                self._lu = spla.splu(self.Kff)
             else:
-                p = self._perm
+                ncomp = n // int(np.prod(shape))
+                dofs = (nested_dissection(shape)[:, None] * ncomp
+                        + np.arange(ncomp)).ravel()
+                rank = np.empty(n, dtype=int)
+                rank[dofs] = np.arange(n)
+                p = self._perm = np.argsort(rank[self.free], kind="stable")
                 self._lu = spla.splu(
-                    sp.csr_matrix(matrix)[p][:, p].tocsc(),
+                    self.Kff.tocsr()[p][:, p].tocsc(),
                     permc_spec="NATURAL", diag_pivot_thresh=0.0,
                     options=dict(SymmetricMode=True))
         except RuntimeError as exc:
@@ -467,10 +464,8 @@ class EliminationSolver:
             b = b - self.Kfc @ fv
         x = np.zeros((self.n,) + fv.shape[1:])
         x[self.fixed] = fv
-        if self._lu is not None:
+        if len(self.free):
             x[self.free] = self.solve_free(b)
-        elif len(self.free):
-            raise SolverError("no factorization available")
         return x
 
     def solve_free(self, b: np.ndarray) -> np.ndarray:
@@ -546,7 +541,7 @@ def solve_constrained(system: SparseSystem, tol: float = 1e-10):
     after Dirichlet elimination are dropped with multiplier 0 when their
     target is already met, and rejected as inconsistent otherwise.
     """
-    solver = EliminationSolver(system, direct=True)
+    solver = EliminationSolver(system)
     free, fixed = solver.free, solver.fixed
     fvals = solver.fixed_values
     pos_of = np.full(system.n, -1, dtype=int)
@@ -605,56 +600,48 @@ def solve_constrained(system: SparseSystem, tol: float = 1e-10):
     return x, lam_full, report
 
 
-def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6,
-                       maxiter: int = 200):
+def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
     """Smallest generalized eigenpair of (K, M) on the constrained subspace.
 
-    Inverse power iteration with sparse LU inner solves; a Rayleigh-quotient
-    re-shift every 40 stalled iterations handles clustered spectra.  The
-    residual criterion is ||K u - lambda M u|| / ||M u|| <= tol.
+    ARPACK's Lanczos iteration in shift-invert mode about 0 (scipy ``eigsh``
+    with ``sigma=0``), each step one solve with the shared factorization of
+    the free block of K.  The start vector is fixed, so results are
+    reproducible.  ARPACK's own tolerance bounds the Ritz estimate of the
+    inverted operator, so it runs at tol/100; the returned pair must then
+    meet ||K u - lambda M u|| / ||M u|| <= tol, with u M-normalised and
+    lambda its Rayleigh quotient.
     """
     M = M_matrix.matrix if isinstance(M_matrix, SparseSystem) else M_matrix
-    solver = EliminationSolver(K_system, direct=True)
+    solver = EliminationSolver(K_system)
     free = solver.free
     if not len(free):
         raise SolverError("no free dofs")
-    Kff = solver.Kff.tocsr()
     Mff = M.tocsr()[free][:, free]
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(len(free))
+    n = len(free)
+    try:
+        _, vecs = spla.eigsh(
+            solver.Kff, k=1, M=Mff, sigma=0.0, which="LM",
+            OPinv=spla.LinearOperator((n, n), matvec=solver.solve_free,
+                                      dtype=float),
+            v0=np.random.default_rng(0).standard_normal(n), tol=1e-2 * tol)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"eigen solve did not converge: {exc}")
+    x = vecs[:, 0]
     mx = float(x @ (Mff @ x))
     if mx <= 0 or not np.isfinite(mx):
         raise SolverError("mass matrix not positive on the subspace")
-    x /= np.sqrt(mx)
-    res = np.inf
-    lam = float(x @ (Kff @ x))
-    for it in range(1, maxiter + 1):
-        y = solver.solve_free(Mff @ x)
-        my = float(y @ (Mff @ y))
-        if my <= 0 or not np.isfinite(my):
-            raise SolverError("mass matrix not positive on the subspace")
-        x = y / np.sqrt(my)
-        lam = float(x @ (Kff @ x))
-        r = Kff @ x - lam * (Mff @ x)
-        den = float(np.linalg.norm(Mff @ x))
-        res = float(np.linalg.norm(r)) / max(den, np.finfo(float).tiny)
-        if res <= tol:
-            if lam < -tol * max(1.0, abs(lam)):
-                raise SolverError(
-                    f"matrix indefinite under constraints: lambda={lam}")
-            vec = np.zeros(K_system.n)
-            vec[free] = x
-            return lam, vec
-        if it % 40 == 0:
-            # Rayleigh re-shift, staying strictly below the target eigenvalue
-            # so the shifted operator remains safely nonsingular
-            rho = lam - max(abs(lam), 1.0) * 1e-6
-            try:
-                solver.refactor(Kff - rho * Mff)
-            except SolverError:
-                pass   # keep the previous factorization
-    raise SolverError(
-        f"eigen iteration stalled: residual {res:.3e} after {maxiter} steps")
+    x = x / np.sqrt(mx)
+    Kx, Mx = solver.Kff @ x, Mff @ x
+    lam = float(x @ Kx)
+    res = float(np.linalg.norm(Kx - lam * Mx)) / max(
+        float(np.linalg.norm(Mx)), np.finfo(float).tiny)
+    if res > tol:
+        raise SolverError(f"eigen residual {res:.3e} above {tol}")
+    if lam < -tol * max(1.0, abs(lam)):
+        raise SolverError(f"matrix indefinite under constraints: lambda={lam}")
+    vec = np.zeros(K_system.n)
+    vec[free] = x
+    return lam, vec
 
 
 def dump_matrix_market(path: str, matrix: sp.spmatrix) -> None:

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .elastic import rigid_motion_matrix
 from .fem import (ConstraintSet, MeshError, SparseSystem, StructuredGrid,
                   assemble_elastic, assemble_pointwise_form,
                   smallest_eigenpair)
@@ -293,6 +294,9 @@ def korn_system(layout: SupportLayout, material, variant: str,
     idx = np.arange(12)
     W[:, idx, idx] = wy
     M = assemble_pointwise_form(grid, W, ncomp=3)
+    # the diagonal weight leaves 2/3 of the stored entries zero; the eigen
+    # solve multiplies by M a few times per step
+    M.eliminate_zeros()
     return K, M, grid
 
 
@@ -363,22 +367,6 @@ class SupportCylinder:
                 for k in range(3)]
         return {(a, b, c): plane[(a, b)] * zmom[c]
                 for (a, b) in plane for c in range(3) if a + b + c <= 2}
-
-
-def rigid_motion_matrix(pts) -> np.ndarray:
-    """3x6 matrix whose columns span translations and rotations, at pts."""
-    pts = np.asarray(pts, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    z = np.zeros_like(x1)
-    o = np.ones_like(x1)
-    d = np.stack([
-        np.stack([o, z, z, z, x3, -x2], axis=-1),
-        np.stack([z, o, z, -x3, z, x1], axis=-1),
-        np.stack([z, z, o, x2, -x1, z], axis=-1),
-    ], axis=-2)
-    return d[0] if single else d
 
 
 # columns of the rigid motion matrix as affine forms: coeffs of (1, x1, x2, x3)

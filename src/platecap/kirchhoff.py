@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
+from .elastic import _to_exact_matrix
 from .fem import (ConstraintSet, SolverError, SparseSystem, StructuredGrid,
                   assemble_elastic, assemble_pointwise_form, solve_constrained)
 from .polyfield import Q2
 from .reduction import bending_table_direct, membrane_table_direct
-
-Q = Fraction
 
 
 class DomainError(ValueError):
@@ -112,12 +110,6 @@ class KirchhoffSolution:
 # limit operator coefficients
 # ---------------------------------------------------------------------------
 
-def _exact_a0(A0):
-    if isinstance(A0, np.ndarray):
-        return [[Q2.of(Q(x)) for x in row] for row in A0.tolist()]
-    return [[Q2.of(x) for x in row] for row in A0]
-
-
 def operator_coefficients(A0):
     """Exact symbol tables of the limit operators for a reduced stiffness.
 
@@ -125,7 +117,7 @@ def operator_coefficients(A0):
     matrices of the second-order in-plane operator, bending maps (a, b) with
     a+b=4 to the scalar coefficients of the fourth-order operator.
     """
-    A0e = _exact_a0(A0)
+    A0e = _to_exact_matrix(A0)
     return membrane_table_direct(A0e), bending_table_direct(A0e)
 
 
@@ -157,7 +149,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
     """
     grid = domain.grid
     A0f = np.array([[float(Q2.of(x)) for x in row]
-                    for row in _exact_a0(A0)])
+                    for row in _to_exact_matrix(A0)])
     cs = ConstraintSet(ncomp=2)
     cs.fix_nodes(domain.boundary_nodes())
     system = assemble_elastic(grid, A0f, cs)
@@ -234,7 +226,8 @@ def _node_weights(domain: PlateDomain) -> np.ndarray:
 
 def bending_system(domain: PlateDomain, A0,
                    enforce_point: bool = True) -> SparseSystem:
-    A0f = np.array([[float(Q2.of(x)) for x in row] for row in _exact_a0(A0)])
+    A0f = np.array([[float(Q2.of(x)) for x in row]
+                    for row in _to_exact_matrix(A0)])
     D = _curvature_matrix(domain)
     w = _node_weights(domain)
     S = sp.kron(sp.diags(w), sp.csr_matrix(A0f / 6.0), format="csr")

@@ -904,7 +904,7 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     cons.fix_nodes(mesh.theta_nodes, value=0.0)
     cons.fix_nodes(mesh.outer_nodes, value=0.0)
     system = assemble_elastic(grid, Amat, cons)
-    solver = EliminationSolver(system, direct=True)
+    solver = EliminationSolver(system)
 
     outer_pts = nodes[mesh.outer_nodes]
     D_outer = rigid_sharp(outer_pts)

@@ -151,6 +151,23 @@ class TestMainEntry:
         assert err.startswith("platecap:")
         assert "bogus" in err
 
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_capacity_mesh_error_exit_2(self, tmp_path, capsys, dry):
+        out = tmp_path / "c.json"
+        rc = run_cli(["run", "capacity", "--T", "4", "-o", str(out)] + dry)
+        assert rc == 2
+        assert "quarter of the box" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_korn_layout_error_exit_2(self, tmp_path, capsys, dry):
+        out = tmp_path / "k.csv"
+        rc = run_cli(["run", "korn-sweep", "--h", "0.9", "-o", str(out)]
+                     + dry)
+        assert rc == 2
+        assert "leaves the rectangle" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_log_level_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("PLATECAP_LOG", "chatty")
         rc = run_cli(["run", "hardy", "--dry-run"])

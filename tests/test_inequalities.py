@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from platecap.elastic import isotropic_stiffness
+from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
 from platecap.fem import EliminationSolver, MeshError
-from platecap.inequalities import (Box, ContractError, KornEstimate,
-                                   SupportCylinder, SupportLayout, WeightSpec,
+from platecap.inequalities import (NORM_VARIANTS, Box, ContractError,
+                                   KornEstimate, SupportCylinder,
+                                   SupportLayout, WeightSpec,
                                    boundary_distance, cutoff, cutoff_slope,
                                    gram_matrix, hardy_constant, hardy_ratio,
                                    korn_constant, korn_csv, korn_system,
-                                   optimality_witness, rigid_motion_matrix,
-                                   support_matrix, support_matrix_leading,
-                                   weights_eval)
+                                   optimality_witness, support_matrix,
+                                   support_matrix_leading, weights_eval)
 
 ISO = isotropic_stiffness(1.0, 1.0)
 CENTERS = ((0.35, 0.4), (0.65, 0.6))
@@ -306,12 +307,27 @@ class TestKornConstant:
         lay = SupportLayout(centers=CENTERS, R=1.0, h=0.2)
         K, M, grid = korn_system(lay, ISO, "support-weighted")
         est = korn_constant(lay, ISO, "support-weighted")
-        free = EliminationSolver(K, direct=False).free
+        free = EliminationSolver(K).free
         for _ in range(5):
             x = np.zeros(K.n)
             x[free] = rng.standard_normal(len(free))
             rq = math.sqrt(float(x @ (M @ x)) / float(x @ (K.matrix @ x)))
             assert rq <= est.constant * (1.0 + 1e-5)
+
+    @pytest.mark.parametrize("mode", ["lateral+support", "supports-only"])
+    @pytest.mark.parametrize("variant", NORM_VARIANTS)
+    def test_lambda_min_matches_dense_eigh(self, mode, variant):
+        # the smallest eigenvalue must be the smallest of the whole pencil,
+        # also on the clustered spectra of lateral clamping
+        lay = SupportLayout(centers=CENTERS, R=1.0, h=0.2, mode=mode)
+        K, M, _ = korn_system(lay, ISO, variant)
+        free = EliminationSolver(K).free
+        ref = sla.eigh(K.matrix.tocsr()[free][:, free].toarray(),
+                       M.tocsr()[free][:, free].toarray(),
+                       eigvals_only=True, subset_by_index=[0, 0])[0]
+        est = korn_constant(lay, ISO, variant)
+        assert est.lambda_min == pytest.approx(ref, rel=1e-8)
+        assert est.residual <= 1e-6
 
     def test_unresolved_mesh_rejected(self):
         lay = SupportLayout(centers=CENTERS, R=1.0, h=0.2)
