@@ -6,7 +6,8 @@ row, JSON records).  Configuration comes from per-kind defaults, an
 optional JSON file (``--config``), and command-line flags, in that order
 of precedence.  Same config + same seed gives byte-identical outputs.
 
-Exit codes: 0 ok, 1 assertion failure, 2 configuration error.
+Exit codes: 0 ok, 1 assertion failure or a solver, extraction or reduction
+error at compute time, 2 configuration error.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from .elastic import (InvalidMaterial, check_stiffness, isotropic_stiffness,
                       isotropic_stiffness_exact, material_from_json,
                       reduced_stiffness)
-from .fem import MeshError
+from .fem import MeshError, SolverError
 from .fundamental import construct_fundamental, verify_contour_identities
 from .inequalities import (NORM_VARIANTS, ContractError, SupportLayout,
                            hardy_constant, hardy_ratio, korn_constant,
@@ -35,11 +36,12 @@ from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         manufactured_membrane, operator_coefficients,
                         solution_csv, solve_bending, solve_membrane,
                         solve_plate)
-from .layer import (capacity_json, decay_csv, extract_capacity, layer_mesh,
-                    symmetry_and_decay_report)
+from .layer import (ExtractionError, capacity_json, decay_csv,
+                    extract_capacity, layer_mesh, symmetry_and_decay_report)
 from .polyfield import Poly, PolyField, Q2
-from .reduction import (bending_table_direct, build_dimension_reduction,
-                        membrane_table_direct, residual_report)
+from .reduction import (ReductionError, bending_table_direct,
+                        build_dimension_reduction, membrane_table_direct,
+                        residual_report)
 
 log = logging.getLogger("platecap")
 
@@ -744,7 +746,12 @@ def main(argv=None) -> int:
     if args.dry_run:
         sys.stdout.write(cfg.plan())
         return 0
-    outputs, failures = RUNNERS[cfg.kind](cfg)
+    try:
+        outputs, failures = RUNNERS[cfg.kind](cfg)
+    except (SolverError, ExtractionError, ReductionError) as e:
+        print(f"platecap: FAIL {cfg.kind}: {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return 1
     for path, text in outputs.items():
         Path(path).write_text(text)
         log.info("wrote %s (%d bytes)", path, len(text))

@@ -251,13 +251,21 @@ def rigid_polyfield(c: Sequence) -> PolyField:
 def _to_exact_matrix(A):
     if isinstance(A, np.ndarray):
         return [[Q2.of(Q(x)) for x in row] for row in A.tolist()]
+    if all(type(x) is Q2 for row in A for x in row):
+        return A
     return [[Q2.of(x) for x in row] for row in A]
 
 
-def _strain_y(u: PolyField):
+def _dy(p: Poly, k: int, symbol: bool) -> Poly:
+    """d/dy_k, or multiplication by s_k when p is a symbol in
+    (s1, s2, zeta)."""
+    return p * Poly.var(k) if symbol else p.diff(k)
+
+
+def _strain_y(u: PolyField, symbol: bool = False):
     """D(grad_y, 0)u: in-plane derivative rows only."""
-    d1 = [c.diff(0) for c in u]
-    d2 = [c.diff(1) for c in u]
+    d1 = [_dy(c, 0, symbol) for c in u]
+    d2 = [_dy(c, 1, symbol) for c in u]
     s = INV_SQRT2
     z = Poly.zero()
     return [d1[0], d2[1], (d2[0] + d1[1]) * s, d1[2] * s, d2[2] * s, z]
@@ -271,13 +279,13 @@ def _strain_zeta(u: PolyField):
     return [z, z, z, d3[0] * s, d3[1] * s, d3[2]]
 
 
-def _div_y(sigma):
+def _div_y(sigma, symbol: bool = False):
     """D(grad_y, 0)^T sigma for a 6-column of Poly."""
     s = INV_SQRT2
     return [
-        sigma[0].diff(0) + sigma[2].diff(1) * s,
-        sigma[1].diff(1) + sigma[2].diff(0) * s,
-        (sigma[3].diff(0) + sigma[4].diff(1)) * s,
+        _dy(sigma[0], 0, symbol) + _dy(sigma[2], 1, symbol) * s,
+        _dy(sigma[1], 1, symbol) + _dy(sigma[2], 0, symbol) * s,
+        (_dy(sigma[3], 0, symbol) + _dy(sigma[4], 1, symbol)) * s,
     ]
 
 
@@ -287,30 +295,40 @@ def _div_zeta(sigma):
     return [sigma[3].diff(2) * s, sigma[4].diff(2) * s, sigma[5].diff(2)]
 
 
-def layer_operator_parts(A, u: PolyField, which: str) -> PolyField:
+# D(0, 0, +-1)^T: the traction rows of the faces zeta = +-1/2
+_FACE_TRACTION = {"+": mat_transpose(strain_matrix_exact((0, 0, 1))),
+                  "-": mat_transpose(strain_matrix_exact((0, 0, -1)))}
+
+
+def layer_operator_parts(A, u: PolyField, which: str,
+                         symbol: bool = False) -> PolyField:
     """Apply one part of the operator split to a PolyField, exactly.
 
     which is one of L0, L1, L2 (interior parts) or N0+, N0-, N1+, N1-
     (face traction parts; the result is still a polynomial in zeta, callers
     substitute zeta = +-1/2 for face values).
+
+    With symbol=True, u is a symbol: its variables 0 and 1 are read as
+    (s1, s2), and d/dy_k becomes multiplication by s_k; zeta stays a real
+    variable.
     """
+    if which not in ("L0", "L1", "L2", "N0+", "N0-", "N1+", "N1-"):
+        raise ValueError(f"unknown operator part {which!r}")
     Ae = _to_exact_matrix(A)
-    ey = _strain_y(u)
-    ez = _strain_zeta(u)
     if which == "L0":
-        return PolyField([-p for p in _div_zeta(mat_apply(Ae, ez))])
+        sigma = mat_apply(Ae, _strain_zeta(u))
+        return PolyField([-p for p in _div_zeta(sigma)])
     if which == "L1":
-        t1 = _div_zeta(mat_apply(Ae, ey))
-        t2 = _div_y(mat_apply(Ae, ez))
+        t1 = _div_zeta(mat_apply(Ae, _strain_y(u, symbol)))
+        t2 = _div_y(mat_apply(Ae, _strain_zeta(u)), symbol)
         return PolyField([-(a + b) for a, b in zip(t1, t2)])
     if which == "L2":
-        return PolyField([-p for p in _div_y(mat_apply(Ae, ey))])
-    if which in ("N0+", "N0-", "N1+", "N1-"):
-        sign = 1 if which.endswith("+") else -1
-        sigma = mat_apply(Ae, ez if which.startswith("N0") else ey)
-        Dt = mat_transpose(strain_matrix_exact((0, 0, sign)))
-        return PolyField(mat_apply(Dt, sigma))
-    raise ValueError(f"unknown operator part {which!r}")
+        sigma = mat_apply(Ae, _strain_y(u, symbol))
+        return PolyField([-p for p in _div_y(sigma, symbol)])
+    strain = (_strain_zeta(u) if which.startswith("N0")
+              else _strain_y(u, symbol))
+    return PolyField(mat_apply(_FACE_TRACTION[which[-1]],
+                               mat_apply(Ae, strain)))
 
 
 def full_operator(A, u: PolyField) -> PolyField:

@@ -67,6 +67,10 @@ class Q2:
         o = Q2._co(other)
         if o is None:
             return NotImplemented
+        if not o.b:     # rational factor: half the Fraction products
+            return Q2(self.a * o.a, self.b * o.a)
+        if not self.b:
+            return Q2(self.a * o.a, self.a * o.b)
         return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__

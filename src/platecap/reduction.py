@@ -13,14 +13,25 @@ constructed by solving constant-coefficient Neumann problems in zeta with
 polynomial right-hand sides, which is also what produces the limit membrane
 and bending operators: they are the solvability conditions of those cell
 problems.  Everything here is exact; no floating point.
+
+All of these operators have constant coefficients in y, so the work is done
+on symbols: column j of a table, read as a PolyField in (s1, s2, zeta), is
+the image of e_j exp(s.y), and d/dy_k acts on it as multiplication by s_k
+(layer_operator_parts with symbol=True).  The cell problems are solved once
+per input component, for all monomial inputs at once, and W3 is read back
+by s-monomial.  The residual cascade F^0..F^5, G^{0..4,+-} is composed the
+same way, once per material (AnsatzOperators.residual_tables), and
+residual_report applies those tables to a given field.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
+from typing import Mapping, NamedTuple
 
-from .elastic import layer_operator_parts, reduced_stiffness_exact
+from .elastic import (_to_exact_matrix, layer_operator_parts,
+                      reduced_stiffness_exact)
 from .polyfield import (INV_SQRT2, Poly, PolyField, Q2, SQRT2, mat_apply,
                         mat_inv, mat_mul)
 
@@ -48,21 +59,31 @@ def _table_add(table, key, i, j, poly):
     table[key][i][j] = table[key][i][j] + poly
 
 
-def _dy(w, a: int, b: int):
-    out = []
-    for p in w:
-        for _ in range(a):
-            p = p.diff(0)
-        for _ in range(b):
-            p = p.diff(1)
-        out.append(p)
-    return out
+def _dy(w, a: int, b: int, cache: dict | None = None):
+    """d1^a d2^b of each component of w; cache maps (a, b) to the
+    derivatives already taken of the same w."""
+    if cache is None:
+        cache = {}
+    key = (a, b)
+    if key not in cache:
+        if a:
+            cache[key] = [p.diff(0) for p in _dy(w, a - 1, b, cache)]
+        elif b:
+            cache[key] = [p.diff(1) for p in _dy(w, 0, b - 1, cache)]
+        else:
+            cache[key] = list(w)
+    return cache[key]
 
 
-def apply_operator_table(table: Mapping, w: PolyField) -> PolyField:
+def apply_operator_table(table: Mapping, w: PolyField,
+                         derivatives: dict | None = None) -> PolyField:
+    """Apply a symbol table to w.  Pass the same derivatives dict to apply
+    several tables to one w without differentiating it twice."""
+    if derivatives is None:
+        derivatives = {}
     out = [Poly.zero(), Poly.zero(), Poly.zero()]
     for (a, b), M in table.items():
-        dw = _dy(w, a, b)
+        dw = _dy(w, a, b, derivatives)
         for i in range(3):
             for j in range(3):
                 m = M[i][j]
@@ -191,6 +212,12 @@ def apply_bending(table, w3: Poly) -> Poly:
 # W3 construction via through-thickness Neumann cell problems
 # ---------------------------------------------------------------------------
 
+class ResidualTables(NamedTuple):
+    F: list                  # interior residual symbols F^0..F^5
+    G_plus: list             # face residual symbols G^{0+}..G^{4+}
+    G_minus: list            # face residual symbols G^{0-}..G^{4-}
+
+
 @dataclass(frozen=True)
 class AnsatzOperators:
     tables: tuple            # (W0, W1, W2, W3) symbol tables
@@ -202,6 +229,42 @@ class AnsatzOperators:
     def max_order(self) -> int:
         return max(a + b for t in self.tables for (a, b) in t)
 
+    @cached_property
+    def residual_tables(self) -> ResidualTables:
+        """Symbol tables of the residual cascade, composed once.
+
+        F^q = sum_{p+k=q} L_k W^p and G^{q+-} = sum_{p+k=q} N_k+- W^p, with
+        zeta = +-1/2 substituted in G.  Each is built from the symbol
+        columns of W0..W3, so applying it with apply_operator_table gives
+        the residual of any mid-surface field.
+        """
+        half = Q(1, 2)
+        F = [{} for _ in range(6)]
+        Gp = [{} for _ in range(5)]
+        Gm = [{} for _ in range(5)]
+        for j in range(3):
+            f = [PolyField([0, 0, 0])] * 6
+            gp = [PolyField([0, 0, 0])] * 5
+            gm = [PolyField([0, 0, 0])] * 5
+            for p, table in enumerate(self.tables):
+                U = _symbol_column(table, j)
+                for k in range(3):
+                    f[p + k] = f[p + k] + layer_operator_parts(
+                        self.stiffness, U, f"L{k}", symbol=True)
+                for k in range(2):
+                    gp[p + k] = gp[p + k] + layer_operator_parts(
+                        self.stiffness, U, f"N{k}+", symbol=True)
+                    gm[p + k] = gm[p + k] + layer_operator_parts(
+                        self.stiffness, U, f"N{k}-", symbol=True)
+            for q in range(6):
+                _add_symbol_column(F[q], j, f[q])
+            for q in range(5):
+                _add_symbol_column(Gp[q], j, gp[q].subs_zeta(half))
+                _add_symbol_column(Gm[q], j, gm[q].subs_zeta(-half))
+        return ResidualTables(F=[_sorted_table(t) for t in F],
+                              G_plus=[_sorted_table(t) for t in Gp],
+                              G_minus=[_sorted_table(t) for t in Gm])
+
 
 def _transverse_block(Ae):
     """Q = E3^T A E3 where E3 is the strain matrix of the thickness direction."""
@@ -210,38 +273,58 @@ def _transverse_block(Ae):
     return mat_mul(J, mat_mul(Azz, J))
 
 
-def _monomial_field(j: int, a: int, b: int) -> PolyField:
-    import math
-
-    coeff = Q(1, math.factorial(a) * math.factorial(b))
+def _symbol_column(table: Mapping, j: int) -> PolyField:
+    """Column j of a symbol table as a PolyField in (s1, s2, zeta)."""
     comps = [Poly.zero(), Poly.zero(), Poly.zero()]
-    comps[j] = Poly.monomial(a, b, 0, coeff)
+    for (a, b), M in table.items():
+        s_ab = Poly.monomial(a, b, 0)
+        for i in range(3):
+            if M[i][j]:
+                comps[i] = comps[i] + M[i][j] * s_ab
     return PolyField(comps)
 
 
-def _y_free_part(p: Poly) -> Poly:
-    return Poly({k: v for k, v in p.terms.items() if k[0] == 0 and k[1] == 0})
+def _s_coefficients(p: Poly) -> dict:
+    """Split a symbol by s-monomial: {(a, b): zeta-polynomial}, sorted."""
+    out: dict = {}
+    for (a, b, c), v in sorted(p.terms.items()):
+        out.setdefault((a, b), {})[(0, 0, c)] = v
+    return {key: Poly(terms) for key, terms in out.items()}
 
 
-def _const_part(p: Poly):
-    return p.coeff(0, 0, 0)
+def _first_s_monomial(p: Poly):
+    """((a, b), zeta-coefficient) of the lowest s-monomial of a symbol."""
+    return next(iter(_s_coefficients(p).items()))
+
+
+def _add_symbol_column(table, j: int, field: PolyField) -> None:
+    """Read a symbol column back into table entries (i, j) by s-monomial."""
+    for i in range(3):
+        for key, poly in _s_coefficients(field[i]).items():
+            _table_add(table, key, i, j, poly)
+
+
+def _sorted_table(table: dict) -> dict:
+    return dict(sorted(table.items()))
 
 
 def build_dimension_reduction(A) -> AnsatzOperators:
     """Assemble W0..W3 and extract the limit operators.
 
-    For each unit monomial input the third-order corrector solves
+    The work is done on symbols: column j of W1 and W2 is a PolyField in
+    (s1, s2, zeta), the image of e_j exp(s.y), and layer_operator_parts with
+    symbol=True composes the operators on it, so each column covers every
+    monomial input at once.  For each input component j the third-order
+    corrector solves
         -Q U3'' = target - (L1 U2 + L2 U1)    on zeta in (-1/2, 1/2)
         +-Q U3'(+-1/2) = -(N1+- U2)|_{+-1/2}
-    where target = (t1, t2, 0) is fixed by the solvability condition.  The
-    in-plane components of t reproduce the membrane operator; the vertical
-    solvability condition one order later gives the bending operator.  The
-    homogeneous constant is fixed by zero zeta-average.
+    coefficient by coefficient in s, where target = (t1, t2, 0) is fixed by
+    the solvability condition.  The s^(a,b) coefficients of t1, t2 are the
+    membrane operator; the vertical solvability condition one order later
+    gives the bending operator.  The homogeneous constant is fixed by zero
+    zeta-average, and the W3 table is U3 read back by s-monomial.
     """
-    if isinstance(A, (list, tuple)):
-        Ae = [[Q2.of(x) for x in row] for row in A]
-    else:  # numpy array; binary floats convert to rationals exactly
-        Ae = [[Q2.of(Q(x)) for x in row] for row in A.tolist()]
+    Ae = _to_exact_matrix(A)   # binary floats convert to rationals exactly
     Aq = [[x.a if x.is_rational() else x for x in row] for row in Ae]
     try:
         A0 = reduced_stiffness_exact(Aq)
@@ -256,91 +339,92 @@ def build_dimension_reduction(A) -> AnsatzOperators:
     bending: dict = {}
     half = Q(1, 2)
 
-    for a in range(5):
-        for b in range(5 - a):
-            for j in range(3):
-                w = _monomial_field(j, a, b)
-                U1 = apply_operator_table(w1t, w)
-                U2 = apply_operator_table(w2t, w)
-                L1U2 = layer_operator_parts(Ae, U2, "L1")
-                L2U1 = layer_operator_parts(Ae, U1, "L2")
-                n1p = layer_operator_parts(Ae, U2, "N1+").subs_zeta(half)
-                n1m = layer_operator_parts(Ae, U2, "N1-").subs_zeta(-half)
-                # solvability of the Neumann problem fixes the target
-                t = [
-                    (L1U2[i] + L2U1[i]).integrate_zeta() + n1p[i] + n1m[i]
-                    for i in range(3)
-                ]
-                if not t[2].is_zero():
+    for j in range(3):
+        U1 = _symbol_column(w1t, j)
+        U2 = _symbol_column(w2t, j)
+        L1U2 = layer_operator_parts(Ae, U2, "L1", symbol=True)
+        L2U1 = layer_operator_parts(Ae, U1, "L2", symbol=True)
+        n1p = layer_operator_parts(Ae, U2, "N1+", symbol=True) \
+            .subs_zeta(half)
+        n1m = layer_operator_parts(Ae, U2, "N1-", symbol=True) \
+            .subs_zeta(-half)
+        # solvability of the Neumann problem fixes the target
+        t = [
+            (L1U2[i] + L2U1[i]).integrate_zeta() + n1p[i] + n1m[i]
+            for i in range(3)
+        ]
+        if not t[2].is_zero():
+            (a, b), c = _first_s_monomial(t[2])
+            raise ReductionError(
+                f"vertical solvability defect for input "
+                f"(component {j}, d1^{a} d2^{b}): {c!r}")
+        # membrane extraction (in-plane inputs, second order)
+        for i in range(2):
+            for (a, b, _), c in sorted(t[i].terms.items()):
+                if j == 2:
                     raise ReductionError(
-                        f"vertical solvability defect for input "
-                        f"(component {j}, d1^{a} d2^{b}): {t[2]!r}")
-                # membrane extraction (in-plane inputs, second order)
-                for i in range(2):
-                    c = _const_part(t[i])
-                    if c:
-                        if j == 2:
-                            raise ReductionError(
-                                "membrane/bending coupling should vanish, got "
-                                f"{c!r} at d1^{a} d2^{b}")
-                        M = membrane.setdefault(
-                            (a, b), [[Q2(), Q2()], [Q2(), Q2()]])
-                        M[i][j] = c
-                # third-order corrector
-                rhs = PolyField([
-                    t[0] - (L1U2[0] + L2U1[0]),
-                    t[1] - (L1U2[1] + L2U1[1]),
-                    -(L1U2[2] + L2U1[2]),
-                ])
-                U3dd = mat_apply(Qinv, [-p for p in rhs])
-                U3d_lo = mat_apply(Qinv, list(n1m))   # U3'(-1/2) = Q^{-1} n1m
-                U3d = []
-                for i in range(3):
-                    F = U3dd[i].antiderivative_zeta()
-                    U3d.append(U3d_lo[i] + F - F.subs_zeta(-half))
-                # top face condition must now hold identically
-                for i in range(3):
-                    top = Qm[i][0] * U3d[0].subs_zeta(half) + \
-                        Qm[i][1] * U3d[1].subs_zeta(half) + \
-                        Qm[i][2] * U3d[2].subs_zeta(half)
-                    defect = top + n1p[i]
-                    if not defect.is_zero():
-                        raise ReductionError(
-                            f"face condition defect {defect!r} "
-                            f"(component {j}, d1^{a} d2^{b}, row {i})")
-                U3 = []
-                for i in range(3):
-                    F = U3d[i].antiderivative_zeta()
-                    F = F - F.subs_zeta(-half)
-                    U3.append(F - F.integrate_zeta())   # zero zeta-average
-                U3 = PolyField(U3)
-                # record the symbol-table column (evaluate at y = 0)
-                for i in range(3):
-                    c = _y_free_part(U3[i])
-                    if not c.is_zero():
-                        if a + b > 3:
-                            raise ReductionError(
-                                "third corrector has symbols above order 3")
-                        _table_add(w3t, (a, b), i, j, c)
-                # vertical solvability one order later: bending operator
-                L1U3 = layer_operator_parts(Ae, U3, "L1")
-                L2U2 = layer_operator_parts(Ae, U2, "L2")
-                g4p = layer_operator_parts(Ae, U3, "N1+").subs_zeta(half)
-                g4m = layer_operator_parts(Ae, U3, "N1-").subs_zeta(-half)
-                v = (L1U3[2] + L2U2[2]).integrate_zeta() + g4p[2] + g4m[2]
-                cv = _const_part(v)
-                if cv:
-                    if j != 2:
-                        raise ReductionError(
-                            f"bending row couples to in-plane input {j}: {cv!r}")
-                    bending[(a, b)] = cv
+                        "membrane/bending coupling should vanish, got "
+                        f"{c!r} (component {j}, d1^{a} d2^{b}, row {i})")
+                M = membrane.setdefault((a, b), [[Q2(), Q2()], [Q2(), Q2()]])
+                M[i][j] = c
+        # third-order corrector
+        rhs = PolyField([
+            t[0] - (L1U2[0] + L2U1[0]),
+            t[1] - (L1U2[1] + L2U1[1]),
+            -(L1U2[2] + L2U1[2]),
+        ])
+        U3dd = mat_apply(Qinv, [-p for p in rhs])
+        U3d_lo = mat_apply(Qinv, list(n1m))   # U3'(-1/2) = Q^{-1} n1m
+        U3d = []
+        for i in range(3):
+            F = U3dd[i].antiderivative_zeta()
+            U3d.append(U3d_lo[i] + F - F.subs_zeta(-half))
+        # top face condition must now hold identically
+        for i in range(3):
+            top = Qm[i][0] * U3d[0].subs_zeta(half) + \
+                Qm[i][1] * U3d[1].subs_zeta(half) + \
+                Qm[i][2] * U3d[2].subs_zeta(half)
+            defect = top + n1p[i]
+            if not defect.is_zero():
+                (a, b), c = _first_s_monomial(defect)
+                raise ReductionError(
+                    f"face condition defect {c!r} "
+                    f"(component {j}, d1^{a} d2^{b}, row {i})")
+        U3 = []
+        for i in range(3):
+            F = U3d[i].antiderivative_zeta()
+            F = F - F.subs_zeta(-half)
+            U3.append(F - F.integrate_zeta())   # zero zeta-average
+        U3 = PolyField(U3)
+        # the symbol-table column of W3
+        for i in range(3):
+            for (a, b), c in _s_coefficients(U3[i]).items():
+                if a + b > 3:
+                    raise ReductionError(
+                        "third corrector has symbols above order 3 "
+                        f"(component {j}, d1^{a} d2^{b}, row {i})")
+                _table_add(w3t, (a, b), i, j, c)
+        # vertical solvability one order later: bending operator
+        L1U3 = layer_operator_parts(Ae, U3, "L1", symbol=True)
+        L2U2 = layer_operator_parts(Ae, U2, "L2", symbol=True)
+        g4p = layer_operator_parts(Ae, U3, "N1+", symbol=True) \
+            .subs_zeta(half)
+        g4m = layer_operator_parts(Ae, U3, "N1-", symbol=True) \
+            .subs_zeta(-half)
+        v = (L1U3[2] + L2U2[2]).integrate_zeta() + g4p[2] + g4m[2]
+        for (a, b, _), cv in sorted(v.terms.items()):
+            if j != 2:
+                raise ReductionError(
+                    f"bending row couples to in-plane input: {cv!r} "
+                    f"(component {j}, d1^{a} d2^{b})")
+            bending[(a, b)] = cv
 
     return AnsatzOperators(
-        tables=(w0, w1t, w2t, w3t),
+        tables=(w0, w1t, w2t, _sorted_table(w3t)),
         stiffness=tuple(tuple(r) for r in Ae),
         reduced=tuple(tuple(r) for r in A0),
-        membrane=membrane,
-        bending=bending,
+        membrane=_sorted_table(membrane),
+        bending=_sorted_table(bending),
     )
 
 
@@ -393,41 +477,20 @@ class ResidualReport:
 
 
 def residual_report(ops: AnsatzOperators, A, w: PolyField) -> ResidualReport:
-    if isinstance(A, (list, tuple)):
-        Ae = [[Q2.of(x) for x in row] for row in A]
-    else:
-        Ae = list(ops.stiffness)
-    U = [apply_operator_table(t, w) for t in ops.tables]
-    half = Q(1, 2)
+    """Residual cascade of the ansatz applied to w.
 
-    def lop(u, which):
-        return layer_operator_parts(Ae, u, which)
-
-    zero = PolyField([0, 0, 0])
-    F = [
-        lop(U[0], "L0"),
-        lop(U[1], "L0") + lop(U[0], "L1"),
-        lop(U[2], "L0") + lop(U[1], "L1") + lop(U[0], "L2"),
-        lop(U[3], "L0") + lop(U[2], "L1") + lop(U[1], "L2"),
-        lop(U[3], "L1") + lop(U[2], "L2"),
-        lop(U[3], "L2"),
-    ]
-    Gp = [
-        lop(U[0], "N0+"),
-        lop(U[1], "N0+") + lop(U[0], "N1+"),
-        lop(U[2], "N0+") + lop(U[1], "N1+"),
-        lop(U[3], "N0+") + lop(U[2], "N1+"),
-        lop(U[3], "N1+"),
-    ]
-    Gm = [
-        lop(U[0], "N0-"),
-        lop(U[1], "N0-") + lop(U[0], "N1-"),
-        lop(U[2], "N0-") + lop(U[1], "N1-"),
-        lop(U[3], "N0-") + lop(U[2], "N1-"),
-        lop(U[3], "N1-"),
-    ]
-    Gp = [g.subs_zeta(half) for g in Gp]
-    Gm = [g.subs_zeta(-half) for g in Gm]
+    A must be the stiffness the operators were built from (ValueError
+    otherwise); the residuals come from ops.residual_tables.
+    """
+    if [list(r) for r in _to_exact_matrix(A)] != \
+            [list(r) for r in ops.stiffness]:
+        raise ValueError("A differs from the stiffness the ansatz operators "
+                         "were built from")
+    tabs = ops.residual_tables
+    dw: dict = {}
+    F = [apply_operator_table(t, w, dw) for t in tabs.F]
+    Gp = [apply_operator_table(t, w, dw) for t in tabs.G_plus]
+    Gm = [apply_operator_table(t, w, dw) for t in tabs.G_minus]
 
     a15 = all(F[q].is_zero() for q in range(3)) and \
         all(Gp[q].is_zero() and Gm[q].is_zero() for q in range(3))

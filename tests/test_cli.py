@@ -6,7 +6,10 @@ import pytest
 
 from platecap.cli import (ConfigError, build_parser, main, parse_material,
                           resolve_config)
+from platecap.fem import SolverError
 from platecap.inequalities import hardy_constant
+from platecap.layer import ExtractionError
+from platecap.reduction import ReductionError
 
 
 def run_cli(argv):
@@ -173,6 +176,29 @@ class TestMainEntry:
         rc = run_cli(["run", "hardy", "--dry-run"])
         assert rc == 2
         assert "PLATECAP_LOG" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, error, argv", [
+        ("extract_capacity", ExtractionError("column 2 did not converge"),
+         ["capacity", "--nz", "2", "--inner-step", "0.5",
+          "--growth-cap", "3"]),
+        ("korn_constant", SolverError("eigen residual 1e-3 above tol"),
+         ["korn-sweep", "--h", "0.2"]),
+        ("build_dimension_reduction", ReductionError("face defect"),
+         ["ansatz-residual", "--degree", "1"]),
+    ])
+    def test_compute_error_exit_1(self, tmp_path, capsys, monkeypatch,
+                                  target, error, argv):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(f"platecap.cli.{target}", fail)
+        out = tmp_path / "out"
+        rc = run_cli(["run"] + argv + ["-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"platecap: FAIL {argv[0]}: "
+                       f"{type(error).__name__}: {error}"]
+        assert not out.exists()
 
     def test_assertion_failure_exit_1(self, tmp_path, capsys):
         # an unreachable tolerance flips the fundsol gate

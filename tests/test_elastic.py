@@ -1,5 +1,6 @@
 """Stiffness algebra, strain columns, and the through-thickness split."""
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -210,6 +211,34 @@ class TestOperatorSplit:
             lhs = full_operator(A, v) * (h * h)
             rhs = PolyField([c.scale_zeta(1 / h) for c in R])
             assert lhs == rhs
+
+    def test_symbol_matches_monomial_inputs(self):
+        # a constant-coefficient operator P(zeta, d_y) maps the input
+        # c(zeta) y^(a,b)/(a! b!) e_j to a field whose y-free part is the
+        # s^(a,b) coefficient of its symbol P(zeta, s) c(zeta) e_j
+        rng = random.Random(11)
+        B = [[Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(6)]
+             for _ in range(6)]
+        A = [[sum(B[k][i] * B[k][j] for k in range(6)) + (i == j)
+              for j in range(6)] for i in range(6)]
+        c = Poly({(0, 0, k): Q(rng.randint(-3, 3), 2) for k in range(3)})
+        for which in ("L0", "L1", "L2", "N0+", "N0-", "N1+", "N1-"):
+            for j in range(3):
+                comps = [Poly.zero()] * 3
+                comps[j] = c
+                sym = layer_operator_parts(A, PolyField(comps), which,
+                                           symbol=True)
+                for a, b in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1)):
+                    comps[j] = c * Poly.monomial(
+                        a, b, 0, Q(1, math.factorial(a) * math.factorial(b)))
+                    out = layer_operator_parts(A, PolyField(comps), which)
+                    for i in range(3):
+                        want = {(0, 0, k): v
+                                for (x, y, k), v in sym[i].terms.items()
+                                if (x, y) == (a, b)}
+                        got = {k: v for k, v in out[i].terms.items()
+                               if k[:2] == (0, 0)}
+                        assert got == want, (which, j, a, b, i)
 
     def test_full_operator_isotropic_laplacian(self):
         # lam = 0, mu = 1/2 gives A = I: L = -div(eps) = -(Delta u + grad div u)/2

@@ -4,7 +4,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from platecap.elastic import isotropic_stiffness_exact
+from platecap.cli import _random_rational_spd
+from platecap.elastic import (isotropic_stiffness, isotropic_stiffness_exact,
+                              layer_operator_parts)
 from platecap.polyfield import INV_SQRT2, Poly, PolyField, Q2
 from platecap.reduction import (AnsatzOperators, ReductionError,
                                 apply_ansatz, apply_bending, apply_membrane,
@@ -185,6 +187,100 @@ class TestResiduals:
             assert all(rep.F[q].is_zero() for q in range(3))
             assert all(rep.G_plus[q].is_zero() for q in range(3))
             assert all(rep.G_minus[q].is_zero() for q in range(3))
+
+
+def _direct_residuals(A, ops, w):
+    """Per-field reference: compose the operator split on W^p w itself."""
+    U = [apply_operator_table(t, w) for t in ops.tables]
+    half = Q(1, 2)
+
+    def lop(u, which):
+        return layer_operator_parts(A, u, which)
+
+    F = [
+        lop(U[0], "L0"),
+        lop(U[1], "L0") + lop(U[0], "L1"),
+        lop(U[2], "L0") + lop(U[1], "L1") + lop(U[0], "L2"),
+        lop(U[3], "L0") + lop(U[2], "L1") + lop(U[1], "L2"),
+        lop(U[3], "L1") + lop(U[2], "L2"),
+        lop(U[3], "L2"),
+    ]
+    G = {}
+    for sign, zeta in (("+", half), ("-", -half)):
+        G[sign] = [g.subs_zeta(zeta) for g in (
+            lop(U[0], "N0" + sign),
+            lop(U[1], "N0" + sign) + lop(U[0], "N1" + sign),
+            lop(U[2], "N0" + sign) + lop(U[1], "N1" + sign),
+            lop(U[3], "N0" + sign) + lop(U[2], "N1" + sign),
+            lop(U[3], "N1" + sign),
+        )]
+    return F, G["+"], G["-"]
+
+
+def _random_field(rng, degree):
+    return PolyField([
+        Poly({(a, rng.randint(0, degree - a), 0):
+              Q(rng.randint(-4, 4), rng.randint(1, 3))
+              for a in (rng.randint(0, degree) for _ in range(4))})
+        for _ in range(3)])
+
+
+GATE3_MATERIALS = [ISO]
+_gate_rng = random.Random(0)
+GATE3_MATERIALS += [_random_rational_spd(_gate_rng) for _ in range(5)]
+
+
+class TestResidualTables:
+    def test_residuals_equal_direct_composition(self):
+        rng = random.Random(31)
+        A_float = isotropic_stiffness(0.875, 1.625)
+        cases = [(ISO, OPS_ISO), (A_float, build_dimension_reduction(A_float))]
+        cases += [([list(r) for r in ops.stiffness], ops) for ops in OPS_ANISO]
+        for A, ops in cases:
+            for degree in (2, 4, 6):
+                w = _random_field(rng, degree)
+                rep = residual_report(ops, A, w)
+                F, Gp, Gm = _direct_residuals(A, ops, w)
+                assert rep.F == F
+                assert rep.G_plus == Gp
+                assert rep.G_minus == Gm
+
+    @pytest.mark.parametrize("k", range(len(GATE3_MATERIALS)))
+    def test_symbol_identities(self, k):
+        # the cascade identities for every mid-surface field at once: the
+        # residual symbols themselves vanish or equal the limit operators
+        ops = build_dimension_reduction(GATE3_MATERIALS[k])
+        tabs = ops.residual_tables
+        assert tabs.F[:3] == [{}, {}, {}]
+        assert tabs.G_plus[:4] == [{}] * 4 and tabs.G_minus[:4] == [{}] * 4
+        zero = Poly.zero()
+        membrane = {key: [[Poly.const(M[i][j]) if j < 2 else zero
+                           for j in range(3)] for i in range(2)] + [[zero] * 3]
+                    for key, M in ops.membrane.items()}
+        assert tabs.F[3] == membrane
+        f4, gp4, gm4 = tabs.F[4], tabs.G_plus[4], tabs.G_minus[4]
+
+        def row2(table, key, j):
+            return table[key][2][j] if key in table else zero
+
+        averaged = {}
+        for key in set(f4) | set(gp4) | set(gm4):
+            row = [row2(f4, key, j).integrate_zeta() + row2(gp4, key, j)
+                   + row2(gm4, key, j) for j in range(3)]
+            if any(row):
+                averaged[key] = row
+        assert averaged == {key: [zero, zero, Poly.const(c)]
+                            for key, c in ops.bending.items()}
+
+    def test_mismatched_stiffness_rejected(self):
+        w = PolyField([0, 0, Poly.monomial(4, 0, 0)])
+        # the float form of the same material is accepted ...
+        rep = residual_report(OPS_ISO, isotropic_stiffness(1, 1), w)
+        assert rep.a17_ok
+        # ... another material is not, in exact or float form
+        for A in (isotropic_stiffness_exact(2, 1), isotropic_stiffness(2, 1)):
+            with pytest.raises(ValueError, match="stiffness"):
+                residual_report(OPS_ISO, A, w)
 
 
 class TestApplyAnsatz:
