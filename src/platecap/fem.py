@@ -13,13 +13,16 @@ produce bit-identical matrices.
 
 Direct solves share one path, EliminationSolver: it drops the Dirichlet dofs,
 factors the free block once and then solves any number of right-hand sides
-per call.  Systems assembled on a grid remember its shape, and their free
-block is factored in geometric nested-dissection order (George 1973) with
-SuperLU's own column ordering switched off; that ordering keeps the L+U fill
-of the 3D layer box about a third below COLAMD's.  Other systems keep
-SuperLU's default ordering.  The smallest eigenpair of a pencil (K, M)
-comes from ARPACK in shift-invert mode, whose inner solves reuse that one
-factorization of K.
+per call.  Systems built on a node grid remember its shape and the reach
+of their couplings: Q1 assembly couples nearest neighbours (reach 1), the
+plate's bending matrix nodes two apart (reach 2).  Their free block is
+factored in geometric nested-dissection order (George 1973), cut by slabs
+as wide as that reach, with SuperLU's own column ordering and pivoting
+switched off; that ordering keeps the L+U fill of the 3D layer box about a
+third below COLAMD's.  Only hand-built systems without a grid keep SuperLU's
+default ordering.  The smallest eigenpair of a pencil (K, M) comes from
+ARPACK in shift-invert mode, whose inner solves reuse that one factorization
+of K.  The iterative path is SciPy's Jacobi-preconditioned CG.
 """
 from __future__ import annotations
 
@@ -197,7 +200,8 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     constraints: ConstraintSet
-    grid_shape: tuple | None = None   # node grid of an assembled Q1 system
+    grid_shape: tuple | None = None   # node grid the dofs live on
+    grid_reach: int = 1   # largest node offset, per axis, of any coupling
 
     @property
     def n(self) -> int:
@@ -373,14 +377,16 @@ def assemble_load(grid: StructuredGrid, f: Callable[[np.ndarray], np.ndarray],
 # constraint elimination and solvers
 # ---------------------------------------------------------------------------
 
-def nested_dissection(shape: Sequence[int]) -> np.ndarray:
+def nested_dissection(shape: Sequence[int], width: int = 1) -> np.ndarray:
     """Nested-dissection order of the nodes of a grid of the given shape.
 
-    Each box is cut across its longest axis by its middle node plane; the
-    two halves come first, each ordered the same way, and the plane last.
-    On a Q1 grid the plane separates the halves, so eliminating in this
-    order confines fill to the separators.  Boxes with fewer than 3 nodes
-    along every axis keep the natural order.
+    Each box is cut across its longest axis by a slab of ``width`` middle
+    node planes; the two halves come first, each ordered the same way, and
+    the slab last.  When no coupling reaches further than ``width`` nodes
+    along an axis (1 on a Q1 grid, 2 for a product of two nearest-neighbour
+    stencils), the slab separates the halves, so eliminating in this order
+    confines fill to the separators.  Boxes too short to leave a node on
+    each side of the slab keep the natural order.
     Returns the node ids (C order of shape) in elimination order.
     """
     out = []
@@ -388,13 +394,14 @@ def nested_dissection(shape: Sequence[int]) -> np.ndarray:
     def visit(block):
         axis = int(np.argmax(block.shape))
         n = block.shape[axis]
-        if n < 3:
+        if n < width + 2:
             out.append(block.ravel())
             return
-        low, plane, high = np.split(block, [n // 2, n // 2 + 1], axis=axis)
+        cut = (n - width + 1) // 2
+        low, slab, high = np.split(block, [cut, cut + width], axis=axis)
         visit(low)
         visit(high)
-        out.append(plane.ravel())
+        out.append(slab.ravel())
 
     visit(np.arange(int(np.prod(shape))).reshape(tuple(shape)))
     return np.concatenate(out)
@@ -406,10 +413,11 @@ class EliminationSolver:
     Capacity extraction and ARPACK's shift-invert steps repeatedly solve with
     the same matrix and varying right-hand sides; a single sparse LU shared
     across those solves replaces thousands of CG iterations.  For a system
-    assembled on a grid (``grid_shape`` set) the free block is permuted into
-    nested-dissection order and factored without further column ordering or
-    pivoting, which an SPD block does not need; otherwise SuperLU picks its
-    default ordering and pivots.
+    built on a grid (``grid_shape`` set) the free block is permuted into
+    nested-dissection order, with separator slabs ``grid_reach`` node planes
+    wide, and factored without further column ordering or pivoting, which an
+    SPD block does not need.  Only hand-built systems without a grid leave
+    the ordering and pivoting to SuperLU.
     ``solve`` takes one set of boundary values (n_fixed,) or a batch
     (n_fixed, k) and solves all k right-hand sides in one triangular sweep.
     """
@@ -438,8 +446,8 @@ class EliminationSolver:
                 self._lu = spla.splu(self.Kff)
             else:
                 ncomp = n // int(np.prod(shape))
-                dofs = (nested_dissection(shape)[:, None] * ncomp
-                        + np.arange(ncomp)).ravel()
+                order = nested_dissection(shape, width=system.grid_reach)
+                dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
                 rank = np.empty(n, dtype=int)
                 rank[dofs] = np.arange(n)
                 p = self._perm = np.argsort(rank[self.free], kind="stable")
@@ -477,43 +485,13 @@ class EliminationSolver:
         return x
 
 
-def _jacobi_cg(K: sp.csr_matrix, b: np.ndarray, tol: float, maxiter: int):
-    n = len(b)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n), 0, 0.0
-    d = K.diagonal().copy()
-    if np.any(d <= 0):
-        raise SolverError("non-positive diagonal: matrix not SPD")
-    dinv = 1.0 / d
-    x = np.zeros(n)
-    r = b.copy()
-    z = dinv * r
-    p = z.copy()
-    rz = float(r @ z)
-    res = bnorm
-    for it in range(1, maxiter + 1):
-        q = K @ p
-        pq = float(p @ q)
-        if pq <= 0:
-            raise SolverError("negative curvature: matrix not SPD")
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        res = float(np.linalg.norm(r))
-        if res <= tol * bnorm:
-            return x, it, res / bnorm
-        z = dinv * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(
-        f"CG did not converge in {maxiter} iterations "
-        f"(relative residual {res / bnorm:.3e})")
-
-
 def solve_cg(system: SparseSystem, tol: float = 1e-8):
-    """Jacobi-preconditioned CG on the Dirichlet-reduced system."""
+    """Jacobi-preconditioned CG (SciPy's ``cg``) on the Dirichlet-reduced
+    system, capped at 20 sqrt(n) iterations.
+
+    CG itself does not notice an indefinite matrix, so a non-positive
+    diagonal is rejected up front; a run that hits the cap raises.
+    """
     if system.constraints.lagrange:
         raise ValueError("Lagrange rows present: use solve_constrained")
     K = system.matrix.tocsr()
@@ -525,8 +503,24 @@ def solve_cg(system: SparseSystem, tol: float = 1e-8):
     b = system.rhs[free].astype(float)
     if len(fixed):
         b = b - K[free][:, fixed] @ fvals
+    d = Kff.diagonal()
+    if np.any(d <= 0):
+        raise SolverError("non-positive diagonal: matrix not SPD")
     cap = max(1, int(np.ceil(20.0 * np.sqrt(max(len(free), 1)))))
-    xf, iters, rel = _jacobi_cg(Kff, b, tol, cap)
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    xf, info = spla.cg(Kff, b, rtol=tol, atol=0.0, maxiter=cap,
+                       M=sp.diags(1.0 / d), callback=count)
+    bnorm = float(np.linalg.norm(b))
+    rel = float(np.linalg.norm(b - Kff @ xf)) / bnorm if bnorm else 0.0
+    if info != 0:
+        raise SolverError(
+            f"CG did not converge in {cap} iterations "
+            f"(relative residual {rel:.3e})")
     x = np.zeros(system.n)
     x[fixed] = fvals
     x[free] = xf

@@ -4,13 +4,15 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
+from platecap.elastic import (isotropic_stiffness, reduced_stiffness,
+                              rigid_motion_matrix)
 from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           SolverError, SparseSystem, StructuredGrid,
                           assemble_elastic, assemble_load,
                           assemble_pointwise_form, dump_matrix_market,
                           nested_dissection, smallest_eigenpair, solve_cg,
                           solve_constrained)
+from platecap.kirchhoff import PlateDomain, bending_system
 
 I6 = np.eye(6)
 
@@ -326,6 +328,42 @@ class TestEliminationSolver:
             assert np.linalg.norm(r) < 1e-10
 
 
+def _single_plane_order(shape):
+    """Reference: the one-plane dissection, cut at the middle node plane."""
+    out = []
+
+    def visit(block):
+        axis = int(np.argmax(block.shape))
+        n = block.shape[axis]
+        if n < 3:
+            out.append(block.ravel())
+            return
+        low, plane, high = np.split(block, [n // 2, n // 2 + 1], axis=axis)
+        visit(low)
+        visit(high)
+        out.append(plane.ravel())
+
+    visit(np.arange(int(np.prod(shape))).reshape(tuple(shape)))
+    return np.concatenate(out)
+
+
+def _measured_reach(system):
+    """Largest per-axis node offset over the stored entries of the matrix."""
+    K = system.matrix.tocoo()
+    ncomp = system.n // int(np.prod(system.grid_shape))
+    r = np.array(np.unravel_index(K.row // ncomp, system.grid_shape))
+    c = np.array(np.unravel_index(K.col // ncomp, system.grid_shape))
+    return int(np.abs(r - c).max())
+
+
+def _bending(spacing, point):
+    dom = PlateDomain(1.0, 1.0, spacing, point=(0.5, 0.5))
+    sysm = bending_system(dom, reduced_stiffness(isotropic_stiffness(
+        1.0, 1.0)), enforce_point=point)
+    sysm.rhs = np.random.default_rng(5).normal(size=sysm.n)
+    return sysm
+
+
 class TestNestedDissection:
     @pytest.mark.parametrize("shape", [(9, 6), (5, 7, 4), (39, 39, 7),
                                        (2, 2, 2)])
@@ -335,10 +373,64 @@ class TestNestedDissection:
         assert order.shape == (n,)
         assert np.array_equal(np.sort(order), np.arange(n))
 
+    @pytest.mark.parametrize("shape", [(9, 6), (5, 7, 4), (39, 39, 7),
+                                       (2, 2, 2), (4, 3)])
+    def test_two_plane_permutation_of_all_nodes(self, shape):
+        order = nested_dissection(shape, width=2)
+        n = int(np.prod(shape))
+        assert order.shape == (n,)
+        assert np.array_equal(np.sort(order), np.arange(n))
+
     def test_separator_comes_last(self):
         # the middle plane of the longest axis is eliminated last
         order = nested_dissection((7, 3))
         assert np.array_equal(np.sort(order[-3:]), [9, 10, 11])
+
+    def test_two_plane_slab_comes_last(self):
+        # 8 planes along axis 0: planes 3 and 4 form the last slab
+        order = nested_dissection((8, 3), width=2)
+        assert np.array_equal(np.sort(order[-6:]), np.arange(9, 15))
+
+    @pytest.mark.parametrize("shape", [(9, 6), (5, 7, 4), (39, 39, 7),
+                                       (2, 2, 2), (7, 3), (33, 33),
+                                       (10, 12, 6)])
+    def test_width_one_is_single_plane_order(self, shape):
+        assert np.array_equal(nested_dissection(shape, width=1),
+                              _single_plane_order(shape))
+
+    def test_declared_reach_matches_pattern(self):
+        g2 = StructuredGrid.uniform((0, 0), (1, 2), (5, 7))
+        g3 = StructuredGrid.uniform((0, 0, 0), (1, 1, 1), (3, 4, 2))
+        for sysm in (assemble_elastic(g2, np.eye(3) + 0.5),
+                     assemble_elastic(g3, isotropic_stiffness(1.0, 1.0))):
+            assert sysm.grid_reach == _measured_reach(sysm) == 1
+        bend = _bending(1.0 / 8, point=False)
+        assert bend.grid_reach == _measured_reach(bend) == 2
+
+    @pytest.mark.parametrize("point", [False, True])
+    def test_bending_solver_matches_spsolve(self, point):
+        sysm = _bending(1.0 / 16, point)
+        solver = EliminationSolver(sysm)
+        free = solver.free
+        Kff = sysm.matrix.tocsr()[free][:, free]
+        b = sysm.rhs[free]
+        if point:
+            x, _, _ = solve_constrained(sysm)
+            col = np.searchsorted(free, sysm.constraints.lagrange[0][0][0])
+            c = sp.csr_matrix(([1.0], ([0], [col])), shape=(1, len(free)))
+            saddle = sp.bmat([[Kff, c.T], [c, None]]).tocsc()
+            ref = spla.spsolve(saddle, np.append(b, 0.0))[:-1]
+        else:
+            x = solver.solve()
+            ref = spla.spsolve(Kff.tocsc(), b)
+        assert np.allclose(x[free], ref, rtol=1e-9,
+                           atol=1e-9 * np.abs(ref).max())
+
+    def test_bending_fill_below_colamd(self):
+        sysm = _bending(1.0 / 64, point=False)
+        solver = EliminationSolver(sysm)
+        colamd = spla.splu(solver.Kff)
+        assert solver._lu.nnz < 0.7 * colamd.nnz
 
     @staticmethod
     def _system(grid, A):

@@ -3,10 +3,11 @@ from fractions import Fraction as Q
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from platecap.elastic import (isotropic_stiffness, isotropic_stiffness_exact,
                               reduced_stiffness, reduced_stiffness_exact)
-from platecap.fem import ConstraintSet, assemble_elastic
+from platecap.fem import ConstraintSet, SolverError, assemble_elastic
 from platecap.kirchhoff import (DomainError, KirchhoffSolution, Load,
                                 PlateDomain, bending_system,
                                 bending_table_float, load_from_spec,
@@ -26,6 +27,45 @@ A0_ANISO = reduced_stiffness(_B @ _B.T + 6.0 * np.eye(6))
 
 def q2(x):
     return Q2.of(Q(x))
+
+
+def _curvature_loop(domain):
+    """Reference: the curvature matrix built tap by tap."""
+    nx, ny = domain.nx, domain.ny
+    dx, dy = domain.dx, domain.dy
+    s = 2.0 ** -0.5
+    rows, cols, vals = [], [], []
+
+    def mirror(i, n):
+        return -i if i < 0 else (2 * n - i if i > n else i)
+
+    def add(r, i, j, v):
+        rows.append(r)
+        cols.append(domain.node_id(mirror(i, nx), mirror(j, ny)))
+        vals.append(v)
+
+    for i in range(nx + 1):
+        for j in range(ny + 1):
+            n = domain.node_id(i, j)
+            r = 3 * n
+            add(r, i - 1, j, s / dx ** 2)
+            add(r, i, j, -2.0 * s / dx ** 2)
+            add(r, i + 1, j, s / dx ** 2)
+            r = 3 * n + 1
+            add(r, i, j - 1, s / dy ** 2)
+            add(r, i, j, -2.0 * s / dy ** 2)
+            add(r, i, j + 1, s / dy ** 2)
+            r = 3 * n + 2
+            c = 1.0 / (4.0 * dx * dy)
+            add(r, i + 1, j + 1, c)
+            add(r, i + 1, j - 1, -c)
+            add(r, i - 1, j + 1, -c)
+            add(r, i - 1, j - 1, c)
+
+    N = (nx + 1) * (ny + 1)
+    D = sp.coo_matrix((vals, (rows, cols)), shape=(3 * N, N)).tocsr()
+    D.sum_duplicates()
+    return D
 
 
 class TestCoefficients:
@@ -177,6 +217,32 @@ class TestBending:
         assert row[inner] == pytest.approx(2 * s / d.dx ** 2)
         assert row[edge] == pytest.approx(-2 * s / d.dx ** 2)
         assert np.count_nonzero(row) == 2
+
+    @pytest.mark.parametrize("a, b", [(2.1, 1.5), (1.5, 3.3), (0.9, 2.7)])
+    def test_curvature_matrix_matches_loop(self, a, b):
+        from platecap.kirchhoff import _curvature_matrix
+        d = PlateDomain(a, b, 0.3)
+        D = _curvature_matrix(d)
+        R = _curvature_loop(d)
+        assert np.array_equal(D.indptr, R.indptr)
+        assert np.array_equal(D.indices, R.indices)
+        assert D.data.tobytes() == R.data.tobytes()
+
+    def test_backward_error_guard(self, monkeypatch):
+        import platecap.kirchhoff as kirchhoff
+        solve = kirchhoff.solve_constrained
+
+        def perturbed(system, tol):
+            x, lam, report = solve(system, tol=tol)
+            x[np.argmax(np.abs(x))] *= 1.0 + 1e-6
+            return x, lam, report
+
+        monkeypatch.setattr(kirchhoff, "solve_constrained", perturbed)
+        d = PlateDomain(1.0, 1.0, 1.0 / 16, point=(0.5, 0.5))
+        for point in (False, True):
+            with pytest.raises(SolverError, match="backward error"):
+                solve_bending(d, A0_ISO, np.ones(d.grid.n_nodes),
+                              enforce_point=point)
 
     def test_point_support_enforced(self):
         d = PlateDomain(1.0, 1.0, 1.0 / 16, point=(0.5, 0.5))
