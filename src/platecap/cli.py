@@ -36,9 +36,10 @@ from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         manufactured_membrane, operator_coefficients,
                         solution_csv, solve_bending, solve_membrane,
                         solve_plate)
-from .layer import (ExtractionError, capacity_json, decay_csv,
-                    extract_capacity, layer_mesh, symmetry_and_decay_report)
-from .polyfield import Poly, PolyField, Q2
+from .layer import (CLOSURES, ExtractionError, capacity_json,
+                    check_matching_window, decay_csv, extract_capacity,
+                    layer_mesh, symmetry_and_decay_report)
+from .polyfield import Poly, PolyField, Q2, mat_to_float
 from .reduction import (ReductionError, bending_table_direct,
                         build_dimension_reduction, membrane_table_direct,
                         residual_report)
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="core grid spacing")
     sp.add_argument("--growth-cap", type=float, dest="growth_cap",
                     help="tail cell growth bound")
-    sp.add_argument("--closure", choices=("enriched", "dipole", "plain"))
+    sp.add_argument("--closure", choices=tuple(CLOSURES))
     sp.add_argument("--theta", help="clamped patch: disk | disk:<radius>")
     sp.add_argument("--annulus", help="matching window 'a0,a1' in units "
                                       "of T")
@@ -436,7 +437,7 @@ def _validate_capacity(p: dict) -> None:
     p["growth_cap"] = _positive(p["growth_cap"], "growth_cap")
     if not p["growth_cap"] > 1.0:
         raise ConfigError("growth_cap must exceed 1")
-    if p["closure"] not in ("enriched", "dipole", "plain"):
+    if p["closure"] not in CLOSURES:
         raise ConfigError(f"unknown closure {p['closure']!r}")
     theta = str(p["theta"])
     if theta != "disk" and not theta.startswith("disk:"):
@@ -445,13 +446,15 @@ def _validate_capacity(p: dict) -> None:
     if theta.startswith("disk:"):
         _positive(theta[5:], "theta radius")
     w = _float_list(p["annulus"], "annulus")
-    if len(w) != 2 or not 0 < w[0] < w[1] < 1:
-        raise ConfigError("annulus must be '<a0>,<a1>' with 0<a0<a1<1")
+    if len(w) != 2:
+        raise ConfigError("annulus must be '<a0>,<a1>'")
     parse_material(str(p["material"]))
     try:
-        _capacity_mesh(p)
+        check_matching_window(_capacity_mesh(p), w)
     except MeshError as e:
         raise ConfigError(f"capacity mesh: {e}")
+    except ContractError as e:
+        raise ConfigError(f"capacity matching window: {e}")
 
 
 def _capacity_mesh(p: dict):
@@ -692,8 +695,7 @@ def run_capacity(cfg: ExperimentConfig):
     p = cfg.params
     A = parse_material(p["material"])
     ops = build_dimension_reduction(A)
-    A0 = np.array([[float(x) for x in row] for row in ops.reduced])
-    phi = construct_fundamental(A0, n_angular=64)
+    phi = construct_fundamental(mat_to_float(ops.reduced), n_angular=64)
     mesh = _capacity_mesh(p)
     annulus = tuple(_float_list(p["annulus"], "annulus"))
     cap, pot = extract_capacity(mesh, A, phi, ops, annulus=annulus,

@@ -207,6 +207,13 @@ class SparseSystem:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    def free_dofs(self) -> np.ndarray:
+        """Sorted dofs without a Dirichlet value; dofs that only carry a
+        Lagrange row stay free."""
+        mask = np.ones(self.n, dtype=bool)
+        mask[self.constraints.dirichlet_dofs()[0]] = False
+        return np.flatnonzero(mask)
+
 
 @dataclass
 class SolveReport:
@@ -426,9 +433,7 @@ class EliminationSolver:
         K = system.matrix
         n = K.shape[0]
         fixed, fvals = system.constraints.dirichlet_dofs()
-        mask = np.ones(n, dtype=bool)
-        mask[fixed] = False
-        self.free = np.flatnonzero(mask)
+        self.free = system.free_dofs()
         self.fixed = fixed
         self.fixed_values = fvals
         self.n = n
@@ -496,9 +501,7 @@ def solve_cg(system: SparseSystem, tol: float = 1e-8):
         raise ValueError("Lagrange rows present: use solve_constrained")
     K = system.matrix.tocsr()
     fixed, fvals = system.constraints.dirichlet_dofs()
-    mask = np.ones(system.n, dtype=bool)
-    mask[fixed] = False
-    free = np.flatnonzero(mask)
+    free = system.free_dofs()
     Kff = K[free][:, free].tocsr()
     b = system.rhs[free].astype(float)
     if len(fixed):

@@ -384,6 +384,22 @@ def _membrane_tractions(mem: FundamentalMembrane, A0, r, theta, phi=None):
     return out
 
 
+def _energy_pairing(mem: FundamentalMembrane, A0, r, theta, phi=None):
+    """Tractions N' Phi' on the circle of radius r and the drift-corrected
+    energy pairing int Phi'^T N' Phi' ds + ln(r) Psi'.
+
+    The log part feeds the traction resultant back into the energy
+    integral as an exact -ln(r) Psi' drift; with that drift removed the
+    pairing of the angular part does not depend on the radius, so it can
+    be checked or normalized on any contour."""
+    w = TWO_PI * r / len(theta)            # trapezoid weight, ds = r dtheta
+    G = _membrane_tractions(mem, A0, r, theta, phi)
+    phi_vals = np.array([[mem.field(i, j).circle(r, phi) for j in range(2)]
+                         for i in range(2)])
+    energy = w * np.einsum("kin,kjn->ij", phi_vals, G) + math.log(r) * mem.Psi
+    return G, energy
+
+
 def _bending_tractions(fld: LogField, A0, r, theta, phi=None):
     """(N0 v, N1 v, N2 v) on the circle for a scalar field v."""
     A3 = np.asarray(A0, dtype=float) / 6.0
@@ -442,17 +458,8 @@ def verify_contour_identities(fundamentals, A0, radius: float = 1.0,
     w = TWO_PI * r / n                     # trapezoid weight, ds = r dtheta
     yk = r * np.stack([np.cos(theta), np.sin(theta)])
 
-    G = _membrane_tractions(mem, A0, r, theta, phi)
+    G, energy = _energy_pairing(mem, A0, r, theta, phi)
     traction = -w * G.sum(axis=2)
-    phi_vals = np.empty((2, 2, n))
-    for i in range(2):
-        for j in range(2):
-            phi_vals[i, j] = mem.field(i, j).circle(r, phi)
-    # the log part feeds the traction resultant back into the energy
-    # integral as an exact -ln(r) Psi' drift; the normalization of the
-    # angular part is the radius-independent statement with that drift
-    # removed, so it can be checked on any contour
-    energy = w * np.einsum("kin,kjn->ij", phi_vals, G) + math.log(r) * mem.Psi
 
     n0, n1, n2 = _bending_tractions(bend.field(), A0, r, theta, phi)
     charge = -w * n0.sum()
@@ -489,14 +496,7 @@ def normalize_membrane(mem: FundamentalMembrane, A0,
     normalization does not depend on the quadrature radius."""
     n = mem.n
     theta = TWO_PI * np.arange(n) / n
-    r = float(radius)
-    w = TWO_PI * r / n
-    G = _membrane_tractions(mem, A0, r, theta)
-    phi_vals = np.empty((2, 2, n))
-    for i in range(2):
-        for j in range(2):
-            phi_vals[i, j] = mem.field(i, j).circle(r)
-    T = w * np.einsum("kin,kjn->ij", phi_vals, G) + math.log(r) * mem.Psi
+    _, T = _energy_pairing(mem, A0, float(radius), theta)
     # shifting Phi' by C changes the pairing by C^T (-int N' Phi') = -C^T
     psi = mem.psi.copy()
     C = T.T

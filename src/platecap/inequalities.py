@@ -306,8 +306,7 @@ def korn_constant(layout: SupportLayout, material, variant: str,
     """Korn constant as 1/sqrt of the smallest eigenvalue of (K, M)."""
     K, M, grid = korn_system(layout, material, variant, resolution, nz)
     lam, vec = smallest_eigenpair(K, M, tol=tol)
-    fixed = K.constraints.dirichlet_dofs()[0]
-    free = np.setdiff1d(np.arange(K.n), np.asarray(fixed, dtype=int))
+    free = K.free_dofs()
     r = (K.matrix @ vec - lam * (M @ vec))[free]
     den = np.linalg.norm((M @ vec)[free])
     return KornEstimate(h=layout.h, J=layout.J, mode=layout.mode,

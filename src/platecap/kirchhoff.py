@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from .elastic import _to_exact_matrix
 from .fem import (ConstraintSet, SolverError, SparseSystem, StructuredGrid,
                   assemble_elastic, assemble_pointwise_form, solve_constrained)
-from .polyfield import Q2
+from .polyfield import mat_to_float
 from .reduction import bending_table_direct, membrane_table_direct
 
 
@@ -129,12 +129,11 @@ def operator_coefficients(A0):
 
 
 def membrane_table_float(table) -> dict:
-    return {k: np.array([[float(Q2.of(x)) for x in row] for row in M])
-            for k, M in table.items()}
+    return {k: mat_to_float(M) for k, M in table.items()}
 
 
 def bending_table_float(table) -> dict:
-    return {k: float(Q2.of(v)) for k, v in table.items()}
+    return {k: float(v) for k, v in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +154,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
     gprime is either nodal samples (n_nodes, 2) or a callable on points.
     """
     grid = domain.grid
-    A0f = np.array([[float(Q2.of(x)) for x in row]
-                    for row in _to_exact_matrix(A0)])
+    A0f = mat_to_float(_to_exact_matrix(A0))
     cs = ConstraintSet(ncomp=2)
     cs.fix_nodes(domain.boundary_nodes())
     system = assemble_elastic(grid, A0f, cs)
@@ -169,8 +167,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
     system.rhs = _mass_matrix(grid, 2) @ g.ravel()
     x, _, report = solve_constrained(system)
     r = system.matrix @ x - system.rhs
-    fixed, _ = cs.dirichlet_dofs()
-    free = np.setdiff1d(np.arange(system.n), fixed)
+    free = system.free_dofs()
     rel = np.linalg.norm(r[free]) / max(np.linalg.norm(system.rhs[free]),
                                         np.finfo(float).tiny)
     if rel > 1e-10:
@@ -223,8 +220,7 @@ def _node_weights(domain: PlateDomain) -> np.ndarray:
 
 def bending_system(domain: PlateDomain, A0,
                    enforce_point: bool = True) -> SparseSystem:
-    A0f = np.array([[float(Q2.of(x)) for x in row]
-                    for row in _to_exact_matrix(A0)])
+    A0f = mat_to_float(_to_exact_matrix(A0))
     D = _curvature_matrix(domain)
     w = _node_weights(domain)
     S = sp.kron(sp.diags(w), sp.csr_matrix(A0f / 6.0), format="csr")
@@ -259,13 +255,13 @@ def solve_bending(domain: PlateDomain, A0, g3, enforce_point: bool = True):
     x, lam, report = solve_constrained(system, tol=1e-8)
     # normwise backward error on the free dofs: the factor runs without
     # pivoting, and the matrix is too ill-conditioned for a residual test
-    fixed, _ = system.constraints.dirichlet_dofs()
-    free = np.ones(system.n, dtype=bool)
-    free[fixed] = False
+    free = system.free_dofs()
     r = system.matrix @ x - system.rhs
     for (idx, coef, _), mu in zip(system.constraints.lagrange, lam):
         np.add.at(r, idx, mu * coef)
-    K_norm = (abs(system.matrix) @ free)[free].max()
+    in_free = np.zeros(system.n)
+    in_free[free] = 1.0
+    K_norm = (abs(system.matrix) @ in_free)[free].max()
     eta = np.abs(r[free]).max() / max(
         K_norm * np.abs(x[free]).max() + np.abs(system.rhs[free]).max(),
         np.finfo(float).tiny)

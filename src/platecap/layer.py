@@ -15,8 +15,7 @@ affine fixed-point equation c = fit(solve(outer data built from c)); solve,
 interpolation and fit are all linear, so the default driver measures the
 affine map directly (four extra solves with pure rigid outer data), closes
 the resulting 4x4 system, and finishes with literal fixed-point sweeps whose
-recorded deltas certify the contraction.  A plain iteration mode is kept for
-cross-checks; it converges to the same limit, only slowly.
+recorded deltas certify the contraction.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .fem import (ConstraintSet, EliminationSolver, MeshError, SolverError,
                   assemble_pointwise_form, solve_cg)
 from .fundamental import PhiSharp, verify_contour_identities
 from .inequalities import ContractError, cutoff
-from .polyfield import Poly, PolyField
+from .polyfield import Poly, PolyField, mat_to_float
 from .reduction import AnsatzOperators
 
 __all__ = [
@@ -46,7 +45,8 @@ __all__ = [
     "solve_layer_problem", "v01_norm", "strain_energy",
     "ManufacturedSolution", "manufactured_solution", "FarFieldExpansion",
     "FitResult", "fit_rigid", "ExtractionError", "CapacityMatrix",
-    "PotentialSolution", "extract_capacity", "DecayReport",
+    "PotentialSolution", "CLOSURES", "check_matching_window",
+    "extract_capacity", "DecayReport",
     "symmetry_and_decay_report", "capacity_json", "decay_csv",
 ]
 
@@ -628,8 +628,8 @@ class FitResult:
     residual: float        # weighted rms of the unexplained part
     drift: float           # weighted rms of the fitted rigid part
     bars: np.ndarray       # per-coefficient error bars (4,)
-    spread: np.ndarray = None  # per-coefficient radial sub-band spread (4,)
-    coef: np.ndarray = None    # full coefficient vector incl. any extras
+    spread: np.ndarray     # per-coefficient radial sub-band spread (4,)
+    coef: np.ndarray       # full coefficient vector incl. any extras
 
 
 def _gram_solver(G: np.ndarray):
@@ -655,6 +655,12 @@ def _gram_solver(G: np.ndarray):
     return solve, ((Vk ** 2) / wk).sum(axis=1)
 
 
+def _check_annulus(a0: float, a1: float) -> None:
+    if not 0.0 < a0 < a1 <= 0.95:
+        raise ContractError("annulus fractions must satisfy "
+                            "0 < a0 < a1 <= 0.95")
+
+
 class _AnnulusFitter:
     """Weighted least squares of a field against the rigid columns over the
     annulus a0*T <= rho <= a1*T, full thickness, by a fixed polar midpoint
@@ -664,13 +670,10 @@ class _AnnulusFitter:
     coefficients stay the rigid drift."""
 
     def __init__(self, mesh: LayerMesh, annulus=(0.55, 0.8),
-                 n_angular: int = 48, n_radial: int = 6,
-                 n_thickness: int | None = None, extra=None):
+                 n_angular: int = 48, n_radial: int = 6, extra=None):
         a0, a1 = annulus
-        if not 0.0 < a0 < a1 <= 0.95:
-            raise ContractError("annulus fractions must satisfy "
-                                "0 < a0 < a1 <= 0.95")
-        nt = mesh.n_z if n_thickness is None else int(n_thickness)
+        _check_annulus(a0, a1)
+        nt = mesh.n_z
         T = mesh.T
         r = a0 * T + (np.arange(n_radial) + 0.5) * (a1 - a0) * T / n_radial
         dr = (a1 - a0) * T / n_radial
@@ -721,13 +724,8 @@ class _AnnulusFitter:
         b = np.einsum("q,qim,qi->m", self.weights, self._Bs, samples)
         y = self._solve[0](b)
         coef = y / self.colscale
-        fitted = np.einsum("qim,m->qi", self.B, coef)
-        mis = samples - fitted
-        res = math.sqrt(max((self.weights * (mis ** 2).sum(1)).sum()
-                            / self.total, 0.0))
-        rigid = np.einsum("qia,a->qi", self.D, coef[:4])
-        drift = math.sqrt(max((self.weights * (rigid ** 2).sum(1)).sum()
-                              / self.total, 0.0))
+        res = self.rms(samples - np.einsum("qim,m->qi", self.B, coef))
+        drift = self.rms(np.einsum("qia,a->qi", self.D, coef[:4]))
         spread = np.zeros(self.m)
         for sel, (bsolve, _) in self._bands:
             yb = bsolve(np.einsum("q,qim,qi->m", self.weights[sel],
@@ -741,14 +739,17 @@ class _AnnulusFitter:
     def interpolate(self, values: np.ndarray) -> np.ndarray:
         return grid_interpolate(self.mesh.grid, values, self.points)
 
+    def rms(self, samples: np.ndarray) -> float:
+        """Weighted rms over the annulus of samples (nq,3)."""
+        return math.sqrt(max((self.weights * (samples ** 2).sum(1)).sum()
+                             / self.total, 0.0))
+
     def residual_of(self, samples: np.ndarray, coef: np.ndarray) -> float:
         """Weighted rms misfit of samples against the basis combination
         coef; accepts the rigid 4-vector or the full coefficient vector."""
         coef = np.asarray(coef, dtype=float)
         base = self.B[:, :, :len(coef)]
-        mis = samples - np.einsum("qim,m->qi", base, coef)
-        return math.sqrt(max((self.weights * (mis ** 2).sum(1)).sum()
-                             / self.total, 0.0))
+        return self.rms(samples - np.einsum("qim,m->qi", base, coef))
 
 
 def fit_rigid(mesh: LayerMesh, values: np.ndarray, **kwargs) -> FitResult:
@@ -809,7 +810,6 @@ class CapacityMatrix:
     theta_spec: str
     material: np.ndarray          # 6x6 stiffness
     annulus: tuple
-    mode: str
     closure: str
 
 
@@ -827,29 +827,55 @@ class PotentialSolution:
     closure: str
 
 
-def _material_matrix(A) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in np.asarray(A)]) \
-        if isinstance(A, np.ndarray) else \
-        np.array([[float(x) for x in row] for row in A])
+# Literal sweeps after the closure jump stop once the coefficient update is
+# below _SWEEP_TOL, or after _MAX_SWEEPS iterations in all; a column whose
+# fit residual exceeds _RESIDUAL_WARN times its drift scale is flagged.
+_SWEEP_TOL = 1e-6
+_MAX_SWEEPS = 20
+_RESIDUAL_WARN = 0.25
+
+# closure name -> FarFieldExpansion method giving the extra correction
+# fields appended to the four rigid columns (None: rigid columns alone)
+CLOSURES = {"enriched": "enrichment_basis", "dipole": "dipole_basis",
+            "plain": None}
+
+
+def _closure_basis(expansion: FarFieldExpansion, closure: str):
+    """Extra regression fields of a closure, points (n,3) -> (n,3,M), or
+    None for the plain closure."""
+    method = CLOSURES[closure]
+    return None if method is None else getattr(expansion, method)
+
+
+def check_matching_window(mesh: LayerMesh, annulus,
+                          chi_scale: float = 2.0) -> None:
+    """Raise ContractError unless the far-field match fits the box: T at
+    least eight patch radii, annulus fractions 0 < a0 < a1 <= 0.95, and an
+    inner radius a0 T clear of the near field and of the cutoff transition
+    (max(2, chi_scale) patch radii)."""
+    if mesh.T < 8.0 * mesh.R_theta - 1e-9:
+        raise ContractError("box half width must be at least eight patch "
+                            "radii for the far-field match")
+    a0, a1 = annulus
+    _check_annulus(a0, a1)
+    if a0 * mesh.T < max(2.0, chi_scale) * mesh.R_theta - 1e-9:
+        raise ContractError("matching annulus overlaps the near field or "
+                            "the cutoff transition")
 
 
 def extract_capacity(mesh: LayerMesh, A, fundamentals,
                      operators: AnsatzOperators, *,
                      annulus=(0.55, 0.8), n_angular: int = 48,
-                     n_radial: int = 6, n_thickness: int | None = None,
-                     tol: float = 1e-6, max_iterations: int = 20,
-                     mode: str = "affine", closure: str = "enriched",
-                     chi_scale: float = 2.0,
-                     residual_warn: float = 0.25,
-                     consistency_check: bool = True):
+                     n_radial: int = 6, closure: str = "enriched",
+                     chi_scale: float = 2.0):
     """Capacity of the clamped patch by far-field matching.
 
     For each far-field column the outer walls carry the template plus a
     correction field B x; the coefficients are the fixed point of
-    x -> fit(solution - template).  mode="affine" measures the affine
-    fixed-point map exactly (it is linear in x) and closes the system
-    before verifying with literal sweeps; mode="picard" iterates the literal
-    update only.
+    x -> fit(solution - template).  That map is affine in x, so it is
+    measured exactly (one solve per correction field), the fixed point is
+    closed as a linear system, and literal sweeps then verify it: their
+    deltas are the recorded histories.
 
     closure="plain" corrects with the four rigid columns alone, so the box
     walls truncate everything below the template's leading order and the
@@ -858,46 +884,31 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     closure="enriched" the first and second derivatives: exact exterior
     fields one or two growth orders down that carry the dominant part of
     what the finite walls would otherwise chop.  The capacity is still read
-    off the rigid coefficients alone.  Returns
+    off the rigid coefficients alone.  annulus, n_angular and n_radial set
+    the matching window and its quadrature, chi_scale the cutoff radius (in
+    patch radii) used by the decay report.  Returns
     (CapacityMatrix, PotentialSolution).
     """
-    phi = (fundamentals if isinstance(fundamentals, PhiSharp)
-           else PhiSharp(*fundamentals))
-    if not getattr(phi.membrane, "normalized", False):
-        raise ContractError("fundamental matrices must be normalized")
-    if mode not in ("affine", "picard"):
-        raise ValueError(f"unknown extraction mode {mode!r}")
-    if closure not in ("enriched", "dipole", "plain"):
+    if closure not in CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
-    if mesh.T < 8.0 * mesh.R_theta - 1e-9:
-        raise ContractError("box half width must be at least eight patch "
-                            "radii for the far-field match")
-    a0, a1 = annulus
-    if a0 * mesh.T < max(2.0, chi_scale) * mesh.R_theta - 1e-9:
-        raise ContractError("matching annulus overlaps the near field or "
-                            "the cutoff transition")
-    Amat = _material_matrix(A)
-    if consistency_check:
-        ops_A = np.array([[float(x) for x in row]
-                          for row in operators.stiffness])
-        if np.abs(ops_A - Amat).max() > 1e-9 * max(np.abs(Amat).max(), 1.0):
-            raise ContractError("ansatz operators were built for a "
-                                "different material")
-        A0 = np.array([[float(x) for x in row] for row in operators.reduced])
-        report = verify_contour_identities((phi.membrane, phi.bending),
-                                           A0, 1.0)
-        if report.max_defect > 1e-6:
-            raise ContractError("fundamental matrices do not satisfy the "
-                                "defining contour identities for this "
-                                f"material (defect {report.max_defect:.3e})")
+    check_matching_window(mesh, annulus, chi_scale)
+    expansion = FarFieldExpansion(fundamentals, operators)
+    Amat = mat_to_float(A)
+    ops_A = mat_to_float(operators.stiffness)
+    if np.abs(ops_A - Amat).max() > 1e-9 * max(np.abs(Amat).max(), 1.0):
+        raise ContractError("ansatz operators were built for a "
+                            "different material")
+    phi = expansion.phi
+    report = verify_contour_identities((phi.membrane, phi.bending),
+                                       mat_to_float(operators.reduced), 1.0)
+    if report.max_defect > 1e-6:
+        raise ContractError("fundamental matrices do not satisfy the "
+                            "defining contour identities for this "
+                            f"material (defect {report.max_defect:.3e})")
 
-    expansion = FarFieldExpansion(phi, operators)
-    extra = {"enriched": expansion.enrichment_basis,
-             "dipole": expansion.dipole_basis,
-             "plain": None}[closure]
+    extra = _closure_basis(expansion, closure)
     fitter = _AnnulusFitter(mesh, annulus=annulus, n_angular=n_angular,
-                            n_radial=n_radial, n_thickness=n_thickness,
-                            extra=extra)
+                            n_radial=n_radial, extra=extra)
     grid = mesh.grid
     nodes = grid.nodes()
     cons = ConstraintSet(ncomp=3)
@@ -920,12 +931,8 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     xi_nodal = np.zeros((4, grid.n_nodes, 3))
     for col in range(4):
         xi_nodal[col, stencil] = expansion.eval_column(col, nodes[stencil])
-    xi_scale = []
-    for col in range(4):
-        xi_q = fitter.interpolate(xi_nodal[col])
-        xi_scale.append(math.sqrt(max(
-            (fitter.weights * (xi_q ** 2).sum(1)).sum() / fitter.total,
-            0.0)))
+    xi_scale = [fitter.rms(fitter.interpolate(xi_nodal[col]))
+                for col in range(4)]
 
     def boundary_solve(bvals: np.ndarray) -> np.ndarray:
         """Box solutions (k, n_nodes, 3) for k sets of outer-wall data
@@ -940,98 +947,72 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
         return fitter.fit_samples(fitter.interpolate(field_vals
                                                      - xi_nodal[col]))
 
-    def sweep(cols, xs):
-        """One literal fixed-point update of each column in cols from its
-        coefficients in xs, batched; returns [(fit, field values)]."""
-        walls = np.stack([xi_outer[col] + np.einsum("qim,m->qi", B_outer, x)
-                          for col, x in zip(cols, xs)], axis=2)
-        return [(fit_column(col, vals), vals)
-                for col, vals in zip(cols, boundary_solve(walls))]
-
     # Every solve that does not depend on a fixed-point iterate goes into
-    # one batch: the basis fields (affine mode), the probe sweep of each
-    # column from x = 0 and the correction carriers.  The affine map
-    # x -> fit(solve(...)) splits into offset + linear part; the linear part
-    # is column independent, so one solve per basis field with pure basis
-    # outer data measures it once for all columns.
+    # one batch: the basis fields, the probe sweep of each column from
+    # x = 0 and the correction carriers.  The affine map x -> fit(solve(...))
+    # splits into offset + linear part; the linear part is column
+    # independent, so one solve per basis field with pure basis outer data
+    # measures it once for all columns.
     carriers = _correction_carriers(outer_pts, D_outer)
-    n_basis = m if mode == "affine" else 0
     first = boundary_solve(np.concatenate(
-        [B_outer[:, :, :n_basis], np.stack(xi_outer, axis=2),
+        [B_outer, np.stack(xi_outer, axis=2),
          np.stack([f for _, f in carriers], axis=2)], axis=2))
-    if mode == "affine":
-        basis_map = np.column_stack(
-            [fitter.fit_samples(fitter.interpolate(vals)).coef
-             for vals in first[:m]])
-    carrier_vals = first[n_basis + 4:]
+    basis_map = np.column_stack(
+        [fitter.fit_samples(fitter.interpolate(vals)).coef
+         for vals in first[:m]])
+    carrier_vals = first[m + 4:]
 
-    histories = [[(np.zeros(m), float("nan"))] for _ in range(4)]
-    xs = [np.zeros(m) for _ in range(4)]
+    # Iteration 1 is the closure jump: the probe sweep from x = 0 measures
+    # the offset b, and (I - M) x = b closes the fixed point.
+    histories = []
+    xs = []
+    for col in range(4):
+        history = [(np.zeros(m), float("nan"))]
+        probe = fit_column(col, first[m + col])
+        if not np.all(np.isfinite(probe.coef)):
+            raise ExtractionError(f"column {col}: non-finite probe sweep",
+                                  tuple(history))
+        xs.append(np.linalg.solve(np.eye(m) - basis_map, probe.coef))
+        history.append((xs[col], float(np.linalg.norm(xs[col]))))
+        histories.append(history)
+
+    # Later literal sweeps only verify the fixed point, all unconverged
+    # columns in one batched solve per sweep.
     last = [None] * 4          # (fit, field values) of the latest sweep
     converged = [False] * 4
-    for col in range(4):
-        probe_vals = first[n_basis + col]
-        probe = fit_column(col, probe_vals)
-        if mode == "affine":
-            # iteration 1 is the closure jump: the update is affine in x,
-            # so the probe sweep from x = 0 measures the offset b and
-            # (I - M) x = b closes the fixed point; later literal sweeps
-            # only verify it.
-            if not np.all(np.isfinite(probe.coef)):
-                raise ExtractionError(
-                    f"column {col}: non-finite probe sweep",
-                    tuple(histories[col]))
-            xs[col] = np.linalg.solve(np.eye(m) - basis_map, probe.coef)
-            histories[col].append((xs[col], float(np.linalg.norm(xs[col]))))
-        else:
-            # the probe is the first literal sweep
-            last[col] = (probe, probe_vals)
-
-    def accept(col: int, k: int, fit: FitResult, vals: np.ndarray):
-        """Record sweep k of column col; raise on a non-finite or
-        diverging update."""
-        history = histories[col]
-        x_next = fit.coef
-        if not np.all(np.isfinite(x_next)):
-            raise ExtractionError(
-                f"column {col}: non-finite update at sweep {k}",
-                tuple(history))
-        delta = float(np.linalg.norm(x_next - xs[col]))
-        history.append((x_next, delta))
-        xs[col] = x_next
-        last[col] = (fit, vals)
-        if delta <= tol and k >= 2:
-            converged[col] = True
-            return
-        deltas = [h[1] for h in history[1:]]
-        if len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]:
-            raise ExtractionError(
-                f"column {col}: fixed point diverging "
-                f"(deltas {deltas[-3]:.3e}, {deltas[-2]:.3e}, "
-                f"{deltas[-1]:.3e})", tuple(history))
-
-    if mode == "picard" and max_iterations >= 1:
-        for col in range(4):
-            accept(col, 1, *last[col])
-    for k in range(2, max_iterations + 1):
+    for k in range(2, _MAX_SWEEPS + 1):
         active = [col for col in range(4) if not converged[col]]
         if not active:
             break
-        for col, (fit, vals) in zip(active,
-                                    sweep(active, [xs[c] for c in active])):
-            accept(col, k, fit, vals)
-    todo = [col for col in range(4) if last[col] is None]
-    if todo:
-        # no literal sweep ran (max_iterations below the first one)
-        for col, res in zip(todo, sweep(todo, [xs[c] for c in todo])):
-            last[col] = res
-    results = [(xs[col], last[col][0], last[col][1],
-                tuple((tuple(h[0]), h[1]) for h in histories[col]),
-                converged[col]) for col in range(4)]
+        walls = np.stack([xi_outer[col]
+                          + np.einsum("qim,m->qi", B_outer, xs[col])
+                          for col in active], axis=2)
+        swept = [(col, fit_column(col, vals), vals)
+                 for col, vals in zip(active, boundary_solve(walls))]
+        for col, fit, vals in swept:
+            history = histories[col]
+            if not np.all(np.isfinite(fit.coef)):
+                raise ExtractionError(
+                    f"column {col}: non-finite update at sweep {k}",
+                    tuple(history))
+            delta = float(np.linalg.norm(fit.coef - xs[col]))
+            history.append((fit.coef, delta))
+            xs[col] = fit.coef
+            last[col] = (fit, vals)
+            if delta <= _SWEEP_TOL:
+                converged[col] = True
+                continue
+            deltas = [h[1] for h in history[1:]]
+            if len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]:
+                raise ExtractionError(
+                    f"column {col}: fixed point diverging "
+                    f"(deltas {deltas[-3]:.3e}, {deltas[-2]:.3e}, "
+                    f"{deltas[-1]:.3e})", tuple(history))
 
-    X = np.column_stack([r[0] for r in results])
+    X = np.column_stack(xs)
     C = X[:4]
-    residuals = np.array([r[1].residual for r in results])
+    fits = [fit for fit, _ in last]
+    residuals = np.array([fit.residual for fit in fits])
     # Correction-structure bars: the closure cannot represent the true
     # correction below its order, so correction-shaped contamination enters
     # through the walls and the box solve bends it into a nearly
@@ -1043,27 +1024,26 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     corr_bars = np.zeros((4, 4))
     for ((t, r), _), solved in zip(carriers, carrier_vals):
         vals = fitter.interpolate(solved)
-        rms = math.sqrt(max((fitter.weights * (vals ** 2).sum(1)).sum()
-                            / fitter.total, 0.0))
         fit = fitter.fit_samples(vals)
-        mis = max(fit.residual, 1e-6 * max(rms, 1e-300))
+        mis = max(fit.residual, 1e-6 * max(fitter.rms(vals), 1e-300))
         disp = np.abs(fit.coef[:4])
         for col in (t, r):
             corr_bars[:, col] = np.maximum(corr_bars[:, col],
                                            disp * residuals[col] / mis)
-    bars = np.column_stack([r[1].bars for r in results]) + corr_bars
-    spread = np.column_stack([r[1].spread for r in results])
-    columns = np.stack([r[2] for r in results])
-    histories = tuple(r[3] for r in results)
-    converged = np.array([r[4] for r in results])
+    bars = np.column_stack([fit.bars for fit in fits]) + corr_bars
+    spread = np.column_stack([fit.spread for fit in fits])
+    columns = np.stack([vals for _, vals in last])
+    histories = tuple(tuple((tuple(x), d) for x, d in h) for h in histories)
+    converged = np.array(converged)
     iters = np.array([len(h) - 1 for h in histories])
-    scale = np.array([max(r[1].drift, s, 1e-300)
-                      for r, s in zip(results, xi_scale)])
-    warning = bool(np.any(residuals > residual_warn * scale)
+    scale = np.array([max(fit.drift, s, 1e-300)
+                      for fit, s in zip(fits, xi_scale)])
+    warning = bool(np.any(residuals > _RESIDUAL_WARN * scale)
                    or not converged.all())
     norm_c = np.linalg.norm(C)
     defect = (float(np.linalg.norm(C - C.T) / norm_c)
               if norm_c > 0 else 0.0)
+    a0, a1 = annulus
     cap = CapacityMatrix(C=C, symmetry_defect=defect,
                          fit_residuals=residuals, error_bars=bars,
                          band_spread=spread, correction_bars=corr_bars,
@@ -1071,8 +1051,7 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                          warning=warning, T=mesh.T,
                          mesh_signature=mesh.signature,
                          theta_spec=mesh.theta_spec, material=Amat,
-                         annulus=(float(a0), float(a1)), mode=mode,
-                         closure=closure)
+                         annulus=(float(a0), float(a1)), closure=closure)
     pot = PotentialSolution(mesh=mesh, columns=columns, histories=histories,
                             c=C, x=X, expansion=expansion,
                             chi_scale=float(chi_scale), closure=closure)
@@ -1149,9 +1128,7 @@ def symmetry_and_decay_report(cap: CapacityMatrix, pot: PotentialSolution,
     edges = np.linspace(a0, a1, 4)
     band_r = np.empty(3)
     band_res = np.empty(3)
-    extra = {"enriched": pot.expansion.enrichment_basis,
-             "dipole": pot.expansion.dipole_basis,
-             "plain": None}[pot.closure]
+    extra = _closure_basis(pot.expansion, pot.closure)
     for b in range(3):
         sub = _AnnulusFitter(mesh, annulus=(edges[b], edges[b + 1]),
                              n_angular=n_angular, n_radial=2, extra=extra)
@@ -1188,7 +1165,7 @@ def capacity_json(cap: CapacityMatrix) -> str:
         "band_spread": [float(x) for x in cap.band_spread.ravel()],
         "correction_bars": [float(x) for x in cap.correction_bars.ravel()],
         "annulus": list(cap.annulus),
-        "mode": cap.mode,
+        "mode": "affine",
         "closure": cap.closure,
         "warning": cap.warning,
     }

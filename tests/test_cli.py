@@ -157,10 +157,15 @@ class TestMainEntry:
     @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
     def test_capacity_mesh_error_exit_2(self, tmp_path, capsys, dry):
         out = tmp_path / "c.json"
-        rc = run_cli(["run", "capacity", "--T", "4", "-o", str(out)] + dry)
-        assert rc == 2
-        assert "quarter of the box" in capsys.readouterr().err
-        assert not out.exists()
+        for flags, frag in [(["--T", "4"], "quarter of the box"),
+                            (["--T", "7"], "eight patch radii"),
+                            (["--annulus", "0.5,0.97"], "annulus fractions"),
+                            (["--annulus", "0.2,0.5"], "overlaps the near")]:
+            rc = run_cli(["run", "capacity"] + flags + ["-o", str(out)]
+                         + dry)
+            assert rc == 2, flags
+            assert frag in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
     def test_korn_layout_error_exit_2(self, tmp_path, capsys, dry):

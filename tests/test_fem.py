@@ -266,6 +266,17 @@ class TestConstrained:
         sysm.rhs[top * 3 + 2] = 0.01
         return g, sysm
 
+    def test_free_dofs_complement_dirichlet_only(self):
+        g, sysm = self._clamped_system()
+        cs = sysm.constraints
+        top = int(g.face_nodes(2, 1)[0])
+        cs.fix(top, 0, 0.25)
+        cs.add_lagrange([top * 3 + 2], [1.0], 0.0)
+        fixed = np.array([n * 3 + c for n, c in cs.dirichlet])
+        free = sysm.free_dofs()
+        assert np.array_equal(free, np.setdiff1d(np.arange(sysm.n), fixed))
+        assert top * 3 + 2 in free and top * 3 not in free
+
     def test_duplicate_of_dirichlet_gets_zero_multiplier(self):
         g, sysm = self._clamped_system()
         node = int(g.face_nodes(2, 0)[0])

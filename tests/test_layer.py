@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from platecap import layer
 from platecap.elastic import (full_operator, isotropic_stiffness,
                               rigid_motion_matrix)
 from platecap.fem import MeshError, SolverError, StructuredGrid
 from platecap.fundamental import construct_fundamental, PhiSharp
 from platecap.inequalities import ContractError
-from platecap.layer import (CapacityMatrix, ExtractionError,
+from platecap.layer import (CLOSURES, CapacityMatrix, ExtractionError,
                             FarFieldExpansion, LayerMesh, capacity_json,
                             decay_csv, extract_capacity, fit_rigid,
                             grid_interpolate, layer_mesh,
@@ -385,7 +386,7 @@ class TestCapacityExtraction:
 
     def test_result_metadata(self, coarse_run):
         cap, pot, mesh = coarse_run
-        assert cap.mode == "affine" and cap.closure == "enriched"
+        assert cap.closure == "enriched"
         assert cap.T == mesh.T
         assert cap.mesh_signature == mesh.signature
         assert np.array_equal(pot.c, cap.C)
@@ -436,31 +437,67 @@ class TestCapacityModes:
         assert pd.x.shape == (11, 4)
         assert np.abs(cd.C - cp.C).max() < 1e-10
 
-    def test_picard_on_plain_closure_is_slow(self, coarse_run, ops, phi):
+    @pytest.mark.parametrize("closure", CLOSURES)
+    def test_every_closure_converges_fast(self, coarse_run, ops, phi,
+                                          closure):
         _, _, mesh = coarse_run
-        cap, pot = extract_capacity(mesh, A1, phi, ops, mode="picard",
-                                    closure="plain", max_iterations=25)
-        assert not cap.converged.any()
-        assert (cap.iterations == 25).all()
-        assert cap.warning
-        for hist in pot.histories:
-            deltas = [h[1] for h in hist[1:]]
-            assert deltas[-1] < deltas[1]
-            assert 0 < deltas[-1] / deltas[-2] < 1.0
-
-    def test_picard_on_enriched_closure_diverges(self, coarse_run, ops, phi):
-        _, _, mesh = coarse_run
-        with pytest.raises(ExtractionError) as exc:
-            extract_capacity(mesh, A1, phi, ops, mode="picard",
-                             max_iterations=30)
-        assert len(exc.value.histories) >= 2
+        cap, _ = extract_capacity(mesh, A1, phi, ops, closure=closure)
+        assert cap.converged.all()
+        assert (cap.iterations <= 4).all()
+        assert not cap.warning
 
     def test_unknown_mode_and_closure(self, coarse_run, ops, phi):
         _, _, mesh = coarse_run
         with pytest.raises(ValueError):
-            extract_capacity(mesh, A1, phi, ops, mode="newton")
-        with pytest.raises(ValueError):
             extract_capacity(mesh, A1, phi, ops, closure="octopole")
+
+
+def _corrupt_fits(monkeypatch, good: int, corrupt):
+    """Let the first `good` annulus fits through and pass the coefficients
+    of every later one through corrupt(coef, k), k counting from 0."""
+    fit_samples = layer._AnnulusFitter.fit_samples
+    calls = []
+
+    def patched(self, samples):
+        fit = fit_samples(self, samples)
+        calls.append(None)
+        k = len(calls) - 1 - good
+        if k < 0:
+            return fit
+        return dataclasses.replace(fit, coef=corrupt(fit.coef, k))
+
+    monkeypatch.setattr(layer._AnnulusFitter, "fit_samples", patched)
+
+
+class TestFixedPointGuards:
+    # the enriched closure fits its 21 basis fields first, then the probe
+    # sweep of columns 0..3; literal sweeps follow, column by column
+    @pytest.mark.parametrize("good, corrupt, message, n_history", [
+        (21, lambda c, k: np.full_like(c, np.nan),
+         "column 0: non-finite probe sweep", 1),
+        (25, lambda c, k: np.full_like(c, np.nan),
+         "column 0: non-finite update at sweep 2", 2),
+        (25, lambda c, k: c + 2.0 ** k,
+         "column 0: fixed point diverging", 5),
+    ], ids=["nan-probe", "nan-update", "diverging"])
+    def test_guard_raises_with_histories(self, coarse_run, ops, phi,
+                                         monkeypatch, good, corrupt,
+                                         message, n_history):
+        _, _, mesh = coarse_run
+        _corrupt_fits(monkeypatch, good, corrupt)
+        with pytest.raises(ExtractionError, match=message) as exc:
+            extract_capacity(mesh, A1, phi, ops)
+        assert len(exc.value.histories) == n_history
+
+    def test_sweep_cap_reports_unconverged(self, coarse_run, ops, phi,
+                                           monkeypatch):
+        _, _, mesh = coarse_run
+        monkeypatch.setattr(layer, "_SWEEP_TOL", -1.0)
+        monkeypatch.setattr(layer, "_MAX_SWEEPS", 2)
+        cap, pot = extract_capacity(mesh, A1, phi, ops)
+        assert not cap.converged.any()
+        assert (cap.iterations == 2).all()
+        assert cap.warning
 
 
 class TestCapacityContracts:
@@ -497,9 +534,11 @@ class TestCapacityContracts:
         with pytest.raises(ContractError):
             extract_capacity(mesh, A1, phi_other, ops)
 
-    def test_residual_threshold_warning(self, coarse_run, ops, phi):
+    def test_residual_threshold_warning(self, coarse_run, ops, phi,
+                                        monkeypatch):
         _, _, mesh = coarse_run
-        cap, _ = extract_capacity(mesh, A1, phi, ops, residual_warn=1e-9)
+        monkeypatch.setattr(layer, "_RESIDUAL_WARN", 1e-9)
+        cap, _ = extract_capacity(mesh, A1, phi, ops)
         assert cap.warning
 
 
