@@ -2,14 +2,19 @@
 solves, smallest eigenpairs.
 
 Grids are tensor products of strictly increasing coordinate axes, so element
-Jacobians are diagonal and positive by construction.  Elements sharing the
-same size triple share one element matrix; assembly groups by size and emits
-COO blocks, which keeps graded boxes cheap.  Degrees of freedom are
+Jacobians are diagonal and positive by construction.  Degrees of freedom are
 node-major: dof = node * ncomp + component.
 
-Assembly is deterministic: elements are processed in lexicographic order and
-duplicate COO entries are summed by scipy in a fixed order, so repeated runs
-produce bit-identical matrices.
+Every Q1 form, the strain energy included, is the pointwise form
+(u, grad u)^T W (u, grad u) with W frozen per element, and has one assembly
+kernel.  The element matrices of all cells are one matrix product of the
+weights, scaled by cell volume and 1/size per gradient row, with a cached
+tensor of unit-cell integrals.  They are summed straight into CSR over the
+grid stencil: node i couples to i + delta, delta in {-1, 0, 1}^d, and the
+block of element corners (a, b) goes to slot (node of a, b - a).  The pattern
+is every in-grid slot as a full ncomp x ncomp block, column indices sorted.
+Assembly is deterministic: each slot sums its contributions in a fixed
+corner-pair order, so repeated runs produce bit-identical matrices.
 
 Direct solves share one path, EliminationSolver: it drops the Dirichlet dofs,
 factors the free block once and then solves any number of right-hand sides
@@ -26,6 +31,7 @@ of K.  The iterative path is SciPy's Jacobi-preconditioned CG.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -227,52 +233,91 @@ class SolveReport:
 # assembly
 # ---------------------------------------------------------------------------
 
-def _element_stiffness(A: np.ndarray, size: np.ndarray) -> np.ndarray:
-    ndim = len(size)
+@functools.lru_cache(maxsize=None)
+def _unit_cell_integrals(ndim: int) -> np.ndarray:
+    """(4^ndim, (1+ndim)^2) unit-cell integrals of g_k(a) g_l(b), rows
+    ordered by corner pair (a, b), columns by (k, l); g_0 is the shape
+    function of corner a and g_k its reference derivative along axis k-1."""
     pts, wts = _ref_quadrature(ndim)
-    grads = _shape_gradients(ndim, pts) / size[None, None, :]
-    nsh = grads.shape[1]
-    ncomp = 3 if ndim == 3 else 2
-    nd = nsh * ncomp
-    Ke = np.zeros((nd, nd))
-    vol = float(np.prod(size))
-    for p in range(len(pts)):
-        if ndim == 3:
-            B = np.zeros((6, nd))
-            for a in range(nsh):
-                B[:, 3 * a:3 * a + 3] = strain_matrix(grads[p, a])
-        else:
-            s = 2.0 ** -0.5
-            B = np.zeros((3, nd))
-            for a in range(nsh):
-                g1, g2 = grads[p, a]
-                B[0, 2 * a] = g1
-                B[1, 2 * a + 1] = g2
-                B[2, 2 * a] = s * g2
-                B[2, 2 * a + 1] = s * g1
-        Ke += wts[p] * vol * (B.T @ A @ B)
-    return Ke
+    g = np.concatenate([_shape_values(ndim, pts)[:, None, :],
+                        _shape_gradients(ndim, pts).transpose(0, 2, 1)],
+                       axis=1)                       # (npts, 1+ndim, 2^ndim)
+    S = np.einsum("p,pka,plb->abkl", wts, g, g).reshape(
+        4 ** ndim, (1 + ndim) ** 2)
+    S.setflags(write=False)
+    return S
 
 
-def _group_by_size(grid: StructuredGrid):
+def _strain_map(ndim: int) -> np.ndarray:
+    """P with strain column = P (u, grad u): 6 rows in 3D; in 2D the three
+    in-plane rows (e11, e22, sqrt2 e12)."""
+    nstrain = 6 if ndim == 3 else 3
+    P = np.zeros((nstrain, ndim * (1 + ndim)))
+    for k in range(ndim):
+        P[:, (1 + k) * ndim:(2 + k) * ndim] = \
+            strain_matrix(np.eye(3)[k])[:nstrain, :ndim]
+    return P
+
+
+def _assemble(grid: StructuredGrid, W: np.ndarray,
+              ncomp: int) -> sp.csr_matrix:
+    """CSR matrix of the Q1 form with per-element weights W (n_elements, m,
+    m), m = ncomp * (1 + ndim), summed over the grid stencil.
+
+    The corner blocks (a, b) of all element matrices are one product of the
+    unit-cell integrals with the weights, scaled by cell volume and 1/size
+    per gradient row.  Node i couples to i + delta for delta in {-1, 0,
+    1}^ndim; block (a, b) of each element goes to slot (node of a, b - a),
+    so every slot sums its contributions in the same corner-pair order.
+    The in-grid slots, full ncomp x ncomp blocks with explicit zeros, factor
+    by axis and go to BSR, then CSR.
+    """
+    ndim, shape = grid.ndim, grid.shape
+    c, nk, n_nodes = ncomp, 1 + ndim, grid.n_nodes
+    cells = tuple(n - 1 for n in shape)
     sizes = grid.element_sizes()
-    uniq, inverse = np.unique(sizes.round(decimals=14), axis=0,
-                              return_inverse=True)
-    return sizes, uniq, inverse
-
-
-def _emit_coo(dofs: np.ndarray, Ke: np.ndarray):
-    nd = Ke.shape[0]
-    rows = np.repeat(dofs, nd, axis=1).ravel()
-    cols = np.tile(dofs, (1, nd)).ravel()
-    vals = np.tile(Ke.ravel(), dofs.shape[0])
-    return rows, cols, vals
-
-
-def _element_dofs(grid: StructuredGrid, ncomp: int) -> np.ndarray:
-    ids = grid.element_node_ids()
-    return (ids[:, :, None] * ncomp +
-            np.arange(ncomp)[None, None, :]).reshape(ids.shape[0], -1)
+    scale = np.concatenate([np.ones((len(sizes), 1)), 1.0 / sizes], axis=1)
+    scale = (np.prod(sizes, axis=1)[:, None, None] * scale[:, :, None] *
+             scale[:, None, :])
+    # weights as rows (k, l) over columns (element, comp, comp')
+    Wt = (W.reshape(-1, nk, c, nk, c) * scale[:, :, None, :, None]
+          ).transpose(1, 3, 0, 2, 4).reshape(nk * nk, -1)
+    S = _unit_cell_integrals(ndim)
+    corners = np.stack(np.meshgrid(*[[0, 1]] * ndim, indexing="ij"),
+                       axis=-1).reshape(-1, ndim)
+    nsh = len(corners)
+    # intermediates are dropped as soon as they are spent, which keeps the
+    # peak within a few times the bytes of the result
+    slots = np.zeros(shape + (3 ** ndim, c, c))
+    for a, ca in enumerate(corners):
+        rows = tuple(slice(o, o + n) for o, n in zip(ca, cells))
+        blocks = (S[a * nsh:(a + 1) * nsh] @ Wt).reshape(
+            (nsh,) + cells + (c, c))
+        for b, cb in enumerate(corners):
+            delta = int(np.ravel_multi_index(cb - ca + 1, (3,) * ndim))
+            slots[rows + (delta,)] += blocks[b]
+        del blocks
+    del Wt
+    # slot (node, delta) is in the grid, and its neighbour id known, axis by
+    # axis
+    valid = np.ones((1,) * (2 * ndim), dtype=bool)
+    nbr = np.zeros((1,) * (2 * ndim), dtype=np.int64)
+    stride = n_nodes
+    for k, n in enumerate(shape):
+        stride //= n
+        j = np.arange(n)[:, None] + np.arange(-1, 2)[None, :]
+        view = [1] * (2 * ndim)
+        view[k], view[ndim + k] = n, 3
+        valid = valid & ((j >= 0) & (j < n)).reshape(view)
+        nbr = nbr + (j * stride).reshape(view)
+    valid = valid.reshape(n_nodes, 3 ** ndim)
+    data = slots.reshape(n_nodes, 3 ** ndim, c, c)[valid]
+    del slots
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(valid.sum(axis=1), out=indptr[1:])
+    n = n_nodes * c
+    return sp.bsr_matrix((data, nbr.reshape(n_nodes, -1)[valid], indptr),
+                         shape=(n, n)).tocsr()
 
 
 def assemble_elastic(grid: StructuredGrid, A: np.ndarray,
@@ -280,7 +325,8 @@ def assemble_elastic(grid: StructuredGrid, A: np.ndarray,
     """Galerkin matrix of the strain form integral (A D(grad)u) . D(grad)v.
 
     3D grids take a 6x6 stiffness; 2D grids take the reduced 3x3 stiffness
-    acting on the in-plane strain column (e11, e22, sqrt2 e12).
+    acting on the in-plane strain column (e11, e22, sqrt2 e12).  This is the
+    pointwise form with the constant weight P^T A P, P the strain map.
     """
     A = np.asarray(A, dtype=float)
     ncomp = 3 if grid.ndim == 3 else 2
@@ -291,23 +337,12 @@ def assemble_elastic(grid: StructuredGrid, A: np.ndarray,
         constraints = ConstraintSet(ncomp=ncomp)
     if constraints.ncomp != ncomp:
         raise ValueError("constraint block size does not match the grid")
-    dofs = _element_dofs(grid, ncomp)
-    _, uniq, inverse = _group_by_size(grid)
-    n = grid.n_nodes * ncomp
-    rows_all, cols_all, vals_all = [], [], []
-    for u in range(len(uniq)):
-        Ke = _element_stiffness(A, uniq[u])
-        sel = np.flatnonzero(inverse == u)
-        r, c, v = _emit_coo(dofs[sel], Ke)
-        rows_all.append(r)
-        cols_all.append(c)
-        vals_all.append(v)
-    K = sp.coo_matrix((np.concatenate(vals_all),
-                       (np.concatenate(rows_all), np.concatenate(cols_all))),
-                      shape=(n, n)).tocsr()
-    K.sum_duplicates()
-    return SparseSystem(matrix=K, rhs=np.zeros(n), constraints=constraints,
-                        grid_shape=grid.shape)
+    P = _strain_map(grid.ndim)
+    m = P.shape[1]
+    K = _assemble(grid, np.broadcast_to(P.T @ A @ P, (grid.n_elements, m, m)),
+                  ncomp)
+    return SparseSystem(matrix=K, rhs=np.zeros(K.shape[0]),
+                        constraints=constraints, grid_shape=grid.shape)
 
 
 def assemble_pointwise_form(grid: StructuredGrid, W: np.ndarray,
@@ -324,38 +359,24 @@ def assemble_pointwise_form(grid: StructuredGrid, W: np.ndarray,
     W = np.asarray(W, dtype=float)
     if W.shape != (grid.n_elements, m, m):
         raise ValueError(f"W must have shape ({grid.n_elements}, {m}, {m})")
-    pts, wts = _ref_quadrature(ndim)
-    dofs = _element_dofs(grid, ncomp)
-    _, uniq, inverse = _group_by_size(grid)
-    n = grid.n_nodes * ncomp
-    nsh = 2 ** ndim
-    nd = nsh * ncomp
-    rows_all, cols_all, vals_all = [], [], []
-    for u in range(len(uniq)):
-        size = uniq[u]
-        vol = float(np.prod(size))
-        vals = _shape_values(ndim, pts)
-        grads = _shape_gradients(ndim, pts) / size[None, None, :]
-        G = np.zeros((len(pts), m, nd))
-        for a in range(nsh):
-            for c in range(ncomp):
-                G[:, c, a * ncomp + c] = vals[:, a]
-                for d in range(ndim):
-                    G[:, (1 + d) * ncomp + c, a * ncomp + c] = grads[:, a, d]
-        sel = np.flatnonzero(inverse == u)
-        Wg = W[sel]
-        Me = np.einsum("p,pmi,emn,pnj->eij", wts * vol, G, Wg, G,
-                       optimize=True)
-        r = np.repeat(dofs[sel], nd, axis=1).ravel()
-        c = np.tile(dofs[sel], (1, nd)).ravel()
-        rows_all.append(r)
-        cols_all.append(c)
-        vals_all.append(Me.reshape(len(sel) * nd * nd))
-    M = sp.coo_matrix((np.concatenate(vals_all),
-                       (np.concatenate(rows_all), np.concatenate(cols_all))),
-                      shape=(n, n)).tocsr()
-    M.sum_duplicates()
-    return M
+    return _assemble(grid, W, ncomp)
+
+
+def apply_mass(grid: StructuredGrid, values: np.ndarray) -> np.ndarray:
+    """Consistent Q1 mass matrix times nodal values (n_nodes,) or
+    (n_nodes, ncomp), without forming the matrix: on a tensor grid it is the
+    Kronecker product of the 1D P1 masses, h/6 [2 1; 1 2] per interval,
+    applied axis by axis."""
+    values = np.asarray(values, dtype=float)
+    u = values.reshape(grid.shape + (-1,))
+    for k, a in enumerate(grid.axes):
+        u = np.moveaxis(u, k, 0)
+        h = (np.diff(a) / 6.0).reshape((-1,) + (1,) * (u.ndim - 1))
+        out = np.zeros_like(u)
+        out[:-1] += h * (2.0 * u[:-1] + u[1:])
+        out[1:] += h * (u[:-1] + 2.0 * u[1:])
+        u = np.moveaxis(out, 0, k)
+    return u.reshape(values.shape)
 
 
 def assemble_load(grid: StructuredGrid, f: Callable[[np.ndarray], np.ndarray],
@@ -395,23 +416,43 @@ def nested_dissection(shape: Sequence[int], width: int = 1) -> np.ndarray:
     confines fill to the separators.  Boxes too short to leave a node on
     each side of the slab keep the natural order.
     Returns the node ids (C order of shape) in elimination order.
+
+    The boxes of one level are cut together: each node gets a base-3 path
+    key (low half 0, high half 1, slab 2, padded with 0 once its box stops
+    splitting), and a stable sort of the keys gives the order.
     """
-    out = []
-
-    def visit(block):
-        axis = int(np.argmax(block.shape))
-        n = block.shape[axis]
-        if n < width + 2:
-            out.append(block.ravel())
-            return
-        cut = (n - width + 1) // 2
-        low, slab, high = np.split(block, [cut, cut + width], axis=axis)
-        visit(low)
-        visit(high)
-        out.append(slab.ravel())
-
-    visit(np.arange(int(np.prod(shape))).reshape(tuple(shape)))
-    return np.concatenate(out)
+    shape = tuple(int(n) for n in shape)
+    n_nodes = int(np.prod(shape))
+    coords = np.stack(np.unravel_index(np.arange(n_nodes), shape), axis=1)
+    key = np.zeros(n_nodes, dtype=np.int64)
+    box = np.zeros(n_nodes, dtype=np.int64)      # -1 once a node is placed
+    lo = np.zeros((1, len(shape)), dtype=np.int64)
+    hi = np.array([shape], dtype=np.int64)
+    while np.any(box >= 0):
+        extent = hi - lo
+        axis = np.argmax(extent, axis=1)
+        n = extent[np.arange(len(extent)), axis]
+        cut = lo[np.arange(len(lo)), axis] + (n - width + 1) // 2
+        split = n >= width + 2
+        live = np.flatnonzero(box >= 0)
+        b = box[live]
+        x = coords[live, axis[b]]
+        digit = np.where(x < cut[b], 0, np.where(x < cut[b] + width, 2, 1))
+        digit[~split[b]] = 0
+        key *= 3
+        key[live] += digit
+        # the halves of the i-th split box become boxes 2i (low), 2i+1 (high)
+        rank = np.cumsum(split) - 1
+        box[live] = np.where(split[b] & (digit < 2), 2 * rank[b] + digit, -1)
+        s_lo, s_hi = lo[split], hi[split]
+        ax, c = axis[split], cut[split]
+        idx = np.arange(len(ax))
+        low_hi, high_lo = s_hi.copy(), s_lo.copy()
+        low_hi[idx, ax] = c
+        high_lo[idx, ax] = c + width
+        lo = np.stack([s_lo, high_lo], axis=1).reshape(-1, len(shape))
+        hi = np.stack([low_hi, s_hi], axis=1).reshape(-1, len(shape))
+    return np.argsort(key, kind="stable")
 
 
 class EliminationSolver:
@@ -424,42 +465,42 @@ class EliminationSolver:
     nested-dissection order, with separator slabs ``grid_reach`` node planes
     wide, and factored without further column ordering or pivoting, which an
     SPD block does not need.  Only hand-built systems without a grid leave
-    the ordering and pivoting to SuperLU.
+    the ordering and pivoting to SuperLU.  The permuted free block is cut
+    from K in one indexing step and is the only copy of it alive while
+    SuperLU factors; the solver keeps the factor, not the block.
     ``solve`` takes one set of boundary values (n_fixed,) or a batch
     (n_fixed, k) and solves all k right-hand sides in one triangular sweep.
     """
 
     def __init__(self, system: SparseSystem):
-        K = system.matrix
+        K = system.matrix.tocsr()
         n = K.shape[0]
         fixed, fvals = system.constraints.dirichlet_dofs()
-        self.free = system.free_dofs()
+        free = self.free = system.free_dofs()
         self.fixed = fixed
         self.fixed_values = fvals
         self.n = n
-        Kcsr = K.tocsr()
-        self.Kff = Kcsr[self.free][:, self.free].tocsc()
-        self.Kfc = Kcsr[self.free][:, fixed].tocsr() if len(fixed) else None
+        self.Kfc = K[free][:, fixed] if len(fixed) else None
         self.base_rhs = system.rhs
         self._perm = None
         self._lu = None
-        if not len(self.free):
+        if not len(free):
             return
         shape = system.grid_shape
+        if shape is None:
+            q, opts = free, {}
+        else:
+            ncomp = n // int(np.prod(shape))
+            order = nested_dissection(shape, width=system.grid_reach)
+            dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
+            rank = np.empty(n, dtype=int)
+            rank[dofs] = np.arange(n)
+            self._perm = np.argsort(rank[free], kind="stable")
+            q = free[self._perm]
+            opts = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
         try:
-            if shape is None:
-                self._lu = spla.splu(self.Kff)
-            else:
-                ncomp = n // int(np.prod(shape))
-                order = nested_dissection(shape, width=system.grid_reach)
-                dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
-                rank = np.empty(n, dtype=int)
-                rank[dofs] = np.arange(n)
-                p = self._perm = np.argsort(rank[self.free], kind="stable")
-                self._lu = spla.splu(
-                    self.Kff.tocsr()[p][:, p].tocsc(),
-                    permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
+            self._lu = spla.splu(K[q][:, q].tocsc(), **opts)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}")
 
@@ -613,11 +654,12 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
     free = solver.free
     if not len(free):
         raise SolverError("no free dofs")
+    Kff = K_system.matrix.tocsr()[free][:, free]
     Mff = M.tocsr()[free][:, free]
     n = len(free)
     try:
         _, vecs = spla.eigsh(
-            solver.Kff, k=1, M=Mff, sigma=0.0, which="LM",
+            Kff, k=1, M=Mff, sigma=0.0, which="LM",
             OPinv=spla.LinearOperator((n, n), matvec=solver.solve_free,
                                       dtype=float),
             v0=np.random.default_rng(0).standard_normal(n), tol=1e-2 * tol)
@@ -628,7 +670,7 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
     if mx <= 0 or not np.isfinite(mx):
         raise SolverError("mass matrix not positive on the subspace")
     x = x / np.sqrt(mx)
-    Kx, Mx = solver.Kff @ x, Mff @ x
+    Kx, Mx = Kff @ x, Mff @ x
     lam = float(x @ Kx)
     res = float(np.linalg.norm(Kx - lam * Mx)) / max(
         float(np.linalg.norm(Mx)), np.finfo(float).tiny)

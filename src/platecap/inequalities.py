@@ -21,9 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .elastic import rigid_motion_matrix
-from .fem import (ConstraintSet, MeshError, SparseSystem, StructuredGrid,
-                  assemble_elastic, assemble_pointwise_form,
-                  smallest_eigenpair)
+from .fem import (ConstraintSet, MeshError, StructuredGrid, assemble_elastic,
+                  assemble_pointwise_form, smallest_eigenpair)
 
 SQRT2 = math.sqrt(2.0)
 

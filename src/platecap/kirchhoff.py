@@ -34,7 +34,8 @@ import scipy.sparse as sp
 
 from .elastic import _to_exact_matrix
 from .fem import (ConstraintSet, SolverError, SparseSystem, StructuredGrid,
-                  assemble_elastic, assemble_pointwise_form, solve_constrained)
+                  apply_mass, assemble_elastic, solve_constrained)
+from .fem import assemble_pointwise_form  # noqa: F401  (perfbench wraps it)
 from .polyfield import mat_to_float
 from .reduction import bending_table_direct, membrane_table_direct
 
@@ -140,18 +141,12 @@ def bending_table_float(table) -> dict:
 # membrane solve
 # ---------------------------------------------------------------------------
 
-def _mass_matrix(grid: StructuredGrid, ncomp: int) -> sp.csr_matrix:
-    nd = grid.ndim
-    m = ncomp * (1 + nd)
-    W = np.zeros((grid.n_elements, m, m))
-    W[:, :ncomp, :ncomp] = np.eye(ncomp)
-    return assemble_pointwise_form(grid, W, ncomp=ncomp)
-
-
 def solve_membrane(domain: PlateDomain, A0, gprime):
     """Clamped in-plane solve; returns (w1, w2, energy).
 
     gprime is either nodal samples (n_nodes, 2) or a callable on points.
+    The load vector is the consistent Q1 mass applied to those samples,
+    axis by axis (``fem.apply_mass``); no mass matrix is assembled.
     """
     grid = domain.grid
     A0f = mat_to_float(_to_exact_matrix(A0))
@@ -164,7 +159,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
         g = np.asarray(gprime, dtype=float)
     if g.shape != (grid.n_nodes, 2):
         raise ValueError("membrane load must be nodal (n_nodes, 2)")
-    system.rhs = _mass_matrix(grid, 2) @ g.ravel()
+    system.rhs = apply_mass(grid, g).ravel()
     x, _, report = solve_constrained(system)
     r = system.matrix @ x - system.rhs
     free = system.free_dofs()

@@ -25,11 +25,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval as _polyval
-from scipy.optimize import brentq
 
 from .elastic import full_operator, layer_operator_parts
 from .fem import (ConstraintSet, EliminationSolver, MeshError, SolverError,
@@ -89,6 +88,9 @@ def _half_axis(T: float, step: float, core: float, cap: float):
                 m = max(int(math.ceil(rem / step - 1e-9)), 1)
                 vals.extend(core + rem * (k + 1) / m for k in range(m))
             else:
+                # scipy.optimize is slow to import and only needed here
+                from scipy.optimize import brentq
+
                 q = brentq(lambda x: geom(m, x) - rem, 1.0 + 1e-10, cap,
                            xtol=1e-13)
                 r = core
@@ -1070,16 +1072,21 @@ class DecayReport:
     C_symmetrized: np.ndarray
     symmetry_defect: float
     radii: np.ndarray             # trace radii
-    row_norms: np.ndarray         # (3, n_radii) remainder component norms
+    row_norms: np.ndarray         # (3, _DECAY_RADII) remainder norms
     growth_exponents: np.ndarray  # (3,) log-log slopes over the window
     window: tuple                 # radii used for the slopes
     band_radii: np.ndarray        # (3,) central radii of the fit sub-bands
     band_residuals: np.ndarray    # (3,) rms residual of the converged fit
 
 
-def symmetry_and_decay_report(cap: CapacityMatrix, pot: PotentialSolution,
-                              *, n_radii: int = 14, n_angular: int = 48
-                              ) -> DecayReport:
+# trace circles of the decay report, and sample angles on each circle and
+# fit sub-band
+_DECAY_RADII = 14
+_DECAY_ANGLES = 48
+
+
+def symmetry_and_decay_report(cap: CapacityMatrix,
+                              pot: PotentialSolution) -> DecayReport:
     """Measure how the remainder decays once template and drift are removed.
 
     The remainder of column k at radius rho is the solved field minus
@@ -1091,8 +1098,8 @@ def symmetry_and_decay_report(cap: CapacityMatrix, pot: PotentialSolution,
     mesh = pot.mesh
     R, T = mesh.R_theta, mesh.T
     nodes = mesh.grid.nodes()
-    radii = np.geomspace(1.1 * R, 0.95 * T, n_radii)
-    phi = (np.arange(n_angular) + 0.5) * 2.0 * math.pi / n_angular
+    radii = np.geomspace(1.1 * R, 0.95 * T, _DECAY_RADII)
+    phi = (np.arange(_DECAY_ANGLES) + 0.5) * 2.0 * math.pi / _DECAY_ANGLES
     zq = -0.5 + (np.arange(mesh.n_z) + 0.5) / mesh.n_z
     row_norms = np.zeros((3, len(radii)))
     for ri, rho in enumerate(radii):
@@ -1131,7 +1138,7 @@ def symmetry_and_decay_report(cap: CapacityMatrix, pot: PotentialSolution,
     extra = _closure_basis(pot.expansion, pot.closure)
     for b in range(3):
         sub = _AnnulusFitter(mesh, annulus=(edges[b], edges[b + 1]),
-                             n_angular=n_angular, n_radial=2, extra=extra)
+                             n_angular=_DECAY_ANGLES, n_radial=2, extra=extra)
         band_r[b] = 0.5 * (edges[b] + edges[b + 1]) * T
         stencil = _stencil_nodes(mesh.grid, sub.points)
         acc = 0.0

@@ -1,14 +1,17 @@
 """Structured FEM: assembly oracles, CG, saddle solves, eigenpairs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from platecap.elastic import (isotropic_stiffness, reduced_stiffness,
-                              rigid_motion_matrix)
+                              rigid_motion_matrix, strain_matrix)
 from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           SolverError, SparseSystem, StructuredGrid,
-                          assemble_elastic, assemble_load,
+                          _ref_quadrature, _shape_gradients, _shape_values,
+                          apply_mass, assemble_elastic, assemble_load,
                           assemble_pointwise_form, dump_matrix_market,
                           nested_dissection, smallest_eigenpair, solve_cg,
                           solve_constrained)
@@ -145,6 +148,129 @@ class TestPointwiseForm:
         g = StructuredGrid.uniform((0, 0), (1, 1), (1, 1))
         with pytest.raises(ValueError):
             assemble_pointwise_form(g, np.zeros((2, 6, 6)))
+
+
+def _coo_assembly(grid, ncomp, Ke):
+    """Reference: element matrices Ke (n_elements, nd, nd) scattered as COO
+    triplets to the element dofs, duplicates summed by scipy."""
+    ids = grid.element_node_ids()
+    dofs = (ids[:, :, None] * ncomp + np.arange(ncomp)).reshape(len(ids), -1)
+    nd = dofs.shape[1]
+    n = grid.n_nodes * ncomp
+    K = sp.coo_matrix((Ke.ravel(), (np.repeat(dofs, nd, axis=1).ravel(),
+                                    np.tile(dofs, (1, nd)).ravel())),
+                      shape=(n, n)).tocsr()
+    K.sum_duplicates()
+    return K
+
+
+def _reference_pointwise(grid, W, ncomp):
+    """Reference: G^T W G at the 2x2(x2) Gauss points of each element."""
+    ndim = grid.ndim
+    pts, wts = _ref_quadrature(ndim)
+    vals = _shape_values(ndim, pts)
+    grads = _shape_gradients(ndim, pts)
+    sizes = grid.element_sizes()
+    nsh = 2 ** ndim
+    G = np.zeros((len(sizes), len(pts), ncomp * (1 + ndim), nsh * ncomp))
+    for a in range(nsh):
+        for c in range(ncomp):
+            G[:, :, c, a * ncomp + c] = vals[None, :, a]
+            for d in range(ndim):
+                G[:, :, (1 + d) * ncomp + c, a * ncomp + c] = \
+                    grads[None, :, a, d] / sizes[:, None, d]
+    vol = np.prod(sizes, axis=1)
+    Ke = np.einsum("p,e,epmi,emn,epnj->eij", wts, vol, G, W, G)
+    return _coo_assembly(grid, ncomp, Ke)
+
+
+def _reference_elastic(grid, A):
+    """Reference: B^T A B with B built node by node from strain_matrix."""
+    ndim = grid.ndim
+    pts, wts = _ref_quadrature(ndim)
+    sizes = grid.element_sizes()
+    nsh = 2 ** ndim
+    Ke = np.zeros((len(sizes), nsh * ndim, nsh * ndim))
+    for e, size in enumerate(sizes):
+        grads = _shape_gradients(ndim, pts) / size
+        for p in range(len(pts)):
+            B = np.hstack([strain_matrix(np.append(grads[p, a], 0.0)[:3])
+                           [:len(A), :ndim] for a in range(nsh)])
+            Ke[e] += wts[p] * np.prod(size) * (B.T @ A @ B)
+    return _coo_assembly(grid, ndim, Ke)
+
+
+def _grid(ndim, graded):
+    counts = (5, 4, 3)[:ndim]
+    if not graded:
+        return StructuredGrid.uniform((0,) * ndim, (1,) * ndim, counts)
+    rng = np.random.default_rng(4)
+    return StructuredGrid([np.cumsum(np.r_[0.0, rng.uniform(0.05, 1.0, n)])
+                           for n in counts])
+
+
+def _assert_same_matrix(K, ref):
+    assert np.array_equal(K.indptr, ref.indptr)
+    assert np.array_equal(K.indices, ref.indices)
+    assert np.abs(K.data - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+
+
+class TestStencilAssembly:
+    """The stencil-sum kernel against element-by-element COO assembly."""
+
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    def test_pointwise_matches_coo(self, ndim, graded, ncomp):
+        g = _grid(ndim, graded)
+        m = ncomp * (1 + ndim)
+        W = np.random.default_rng(ndim + ncomp).normal(
+            size=(g.n_elements, m, m))
+        W = W + W.transpose(0, 2, 1)
+        _assert_same_matrix(assemble_pointwise_form(g, W, ncomp=ncomp),
+                            _reference_pointwise(g, W, ncomp))
+
+    @pytest.mark.parametrize("graded", [False, True])
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_elastic_matches_coo(self, ndim, graded):
+        g = _grid(ndim, graded)
+        k = 6 if ndim == 3 else 3
+        B = np.random.default_rng(k).normal(size=(k, k))
+        A = B @ B.T + k * np.eye(k)
+        _assert_same_matrix(assemble_elastic(g, A).matrix,
+                            _reference_elastic(g, A))
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    def test_tensor_mass_matches_assembled(self, ndim):
+        g = _grid(ndim, graded=True)
+        for ncomp in (1, ndim):
+            m = ncomp * (1 + ndim)
+            W = np.zeros((g.n_elements, m, m))
+            W[:, :ncomp, :ncomp] = np.eye(ncomp)
+            M = assemble_pointwise_form(g, W, ncomp=ncomp)
+            u = np.random.default_rng(ncomp).normal(
+                size=(g.n_nodes, ncomp))
+            ref = (M @ u.ravel()).reshape(u.shape)
+            assert np.abs(apply_mass(g, u) - ref).max() <= \
+                1e-14 * np.abs(ref).max()
+        assert apply_mass(g, u[:, 0]).shape == (g.n_nodes,)
+
+    def test_memory_peak_bounded_by_result(self):
+        # a graded layer-like box: assembly may hold at most five times the
+        # bytes of the matrix it returns
+        side = np.geomspace(0.25, 4.0, 10)
+        axis = np.r_[-side[::-1], 0.0, side]
+        g = StructuredGrid([axis, axis, np.linspace(-0.5, 0.5, 7)])
+        A = isotropic_stiffness(1.0, 1.0)
+        assemble_elastic(g, A)
+        tracemalloc.start()
+        try:
+            K = assemble_elastic(g, A).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * (K.data.nbytes + K.indices.nbytes +
+                            K.indptr.nbytes)
 
 
 class TestLoad:
@@ -339,6 +465,26 @@ class TestEliminationSolver:
             assert np.linalg.norm(r) < 1e-10
 
 
+def _recursive_dissection(shape, width):
+    """Reference: the dissection as a recursion over boxes."""
+    out = []
+
+    def visit(block):
+        axis = int(np.argmax(block.shape))
+        n = block.shape[axis]
+        if n < width + 2:
+            out.append(block.ravel())
+            return
+        cut = (n - width + 1) // 2
+        low, slab, high = np.split(block, [cut, cut + width], axis=axis)
+        visit(low)
+        visit(high)
+        out.append(slab.ravel())
+
+    visit(np.arange(int(np.prod(shape))).reshape(tuple(shape)))
+    return np.concatenate(out)
+
+
 def _single_plane_order(shape):
     """Reference: the one-plane dissection, cut at the middle node plane."""
     out = []
@@ -409,6 +555,15 @@ class TestNestedDissection:
         assert np.array_equal(nested_dissection(shape, width=1),
                               _single_plane_order(shape))
 
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("shape", [(9, 6), (5, 7, 4), (39, 39, 7),
+                                       (2, 2, 2), (4, 3), (7, 3), (33, 33),
+                                       (10, 12, 6), (1, 5), (2, 9),
+                                       (3, 1, 8), (129, 129)])
+    def test_matches_recursive_reference(self, shape, width):
+        assert np.array_equal(nested_dissection(shape, width=width),
+                              _recursive_dissection(shape, width))
+
     def test_declared_reach_matches_pattern(self):
         g2 = StructuredGrid.uniform((0, 0), (1, 2), (5, 7))
         g3 = StructuredGrid.uniform((0, 0, 0), (1, 1, 1), (3, 4, 2))
@@ -440,7 +595,8 @@ class TestNestedDissection:
     def test_bending_fill_below_colamd(self):
         sysm = _bending(1.0 / 64, point=False)
         solver = EliminationSolver(sysm)
-        colamd = spla.splu(solver.Kff)
+        free = solver.free
+        colamd = spla.splu(sysm.matrix.tocsr()[free][:, free].tocsc())
         assert solver._lu.nnz < 0.7 * colamd.nnz
 
     @staticmethod
