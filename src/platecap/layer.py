@@ -754,10 +754,10 @@ class _AnnulusFitter:
         return self.rms(samples - np.einsum("qim,m->qi", base, coef))
 
 
-def fit_rigid(mesh: LayerMesh, values: np.ndarray, **kwargs) -> FitResult:
+def fit_rigid(mesh: LayerMesh, values: np.ndarray) -> FitResult:
     """Least-squares rigid coefficients of a nodal field on the matching
     annulus (no far-field template subtracted)."""
-    fitter = _AnnulusFitter(mesh, **kwargs)
+    fitter = _AnnulusFitter(mesh)
     return fitter.fit_samples(fitter.interpolate(values))
 
 

@@ -7,52 +7,109 @@ so algebraic cancellations can be asserted to zero rather than to a tolerance.
 Coefficients live in Q(sqrt2), rationals extended by sqrt(2), because the
 strain-column convention carries 2^{-1/2} factors on the shear rows.  The
 extension is closed under +,-,*,/ so all operator compositions stay exact.
+
+A coefficient is stored as an integer triple (p + q*sqrt2)/d in canonical
+form: d > 0 and gcd(p, q, d) = 1, so equal values have equal triples.  The
+polynomial kernels (products, sums, linear combinations, substitution)
+accumulate unnormalised triples per output monomial and normalise each
+output coefficient once, with one gcd, instead of once per partial sum.
+They keep the term order of the term-by-term composition: a monomial whose
+partial sum cancels leaves the dict and re-enters at the end.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 Q = Fraction
+_SQRT2_FLOAT = 1.4142135623730951
+
+
+def _q2(p: int, q: int, d: int) -> "Q2":
+    """Q2 from a triple already in canonical form."""
+    x = object.__new__(Q2)
+    x.p = p
+    x.q = q
+    x.d = d
+    return x
+
+
+def _canon(p: int, q: int, d: int) -> "Q2":
+    """Q2 from any triple with d > 0: one gcd normalisation."""
+    g = gcd(p, q, d)
+    if g != 1:
+        return _q2(p // g, q // g, d // g)
+    return _q2(p, q, d)
 
 
 class Q2:
-    """Element a + b*sqrt(2) of the field Q(sqrt2), with exact arithmetic."""
+    """Element (p + q*sqrt2)/d of the field Q(sqrt2), with exact arithmetic.
 
-    __slots__ = ("a", "b")
+    The integer triple is canonical (d > 0, gcd(p, q, d) = 1), so == is
+    triple equality and bool is p or q.  a and b give the rational and
+    sqrt2 parts as Fractions; Q2(a, b) accepts int, Fraction and float
+    parts.  Every result costs one gcd normalisation.
+    """
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, a=0, b=0):
-        self.a = a if isinstance(a, Fraction) else Q(a)
-        self.b = b if isinstance(b, Fraction) else Q(b)
+        if type(a) is int and type(b) is int:
+            self.p, self.q, self.d = a, b, 1
+            return
+        a = a if isinstance(a, Fraction) else Q(a)
+        b = b if isinstance(b, Fraction) else Q(b)
+        ad, bd = a.denominator, b.denominator
+        p, q, d = a.numerator * bd, b.numerator * ad, ad * bd
+        g = gcd(p, q, d)
+        self.p, self.q, self.d = p // g, q // g, d // g
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Q(self.p, self.d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt2."""
+        return Q(self.q, self.d)
 
     @staticmethod
     def of(x) -> "Q2":
-        if isinstance(x, Q2):
-            return x
-        return Q2(Q(x))
+        o = Q2._co(x)
+        return Q2(x) if o is None else o
 
     @staticmethod
     def _co(x):
         """Coerce or decline (so Poly and friends get their reflected ops)."""
         if isinstance(x, Q2):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Q2(Q(x))
+        if isinstance(x, int):
+            return _q2(int(x), 0, 1)
+        if isinstance(x, Fraction):
+            return _q2(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other):
-        o = Q2._co(other)
+        o = other if type(other) is Q2 else Q2._co(other)
         if o is None:
             return NotImplemented
-        return Q2(self.a + o.a, self.b + o.b)
+        d, od = self.d, o.d
+        if d == od:
+            if d == 1:
+                return _q2(self.p + o.p, self.q + o.q, 1)
+            return _canon(self.p + o.p, self.q + o.q, d)
+        return _canon(self.p * od + o.p * d, self.q * od + o.q * d, d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Q2._co(other)
+        o = other if type(other) is Q2 else Q2._co(other)
         if o is None:
             return NotImplemented
-        return Q2(self.a - o.a, self.b - o.b)
+        return self + -o
 
     def __rsub__(self, other):
         o = Q2._co(other)
@@ -61,30 +118,31 @@ class Q2:
         return o - self
 
     def __neg__(self):
-        return Q2(-self.a, -self.b)
+        return _q2(-self.p, -self.q, self.d)
 
     def __mul__(self, other):
-        o = Q2._co(other)
+        o = other if type(other) is Q2 else Q2._co(other)
         if o is None:
             return NotImplemented
-        if not o.b:     # rational factor: half the Fraction products
-            return Q2(self.a * o.a, self.b * o.a)
-        if not self.b:
-            return Q2(self.a * o.a, self.a * o.b)
-        return Q2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        return _canon(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Q2._co(other)
+        o = other if type(other) is Q2 else Q2._co(other)
         if o is None:
             return NotImplemented
-        # multiply by the conjugate; a^2 - 2 b^2 = 0 only for a = b = 0
-        den = o.a * o.a - 2 * o.b * o.b
-        if den == 0:
+        # multiply by the conjugate; p^2 - 2 q^2 = 0 only for p = q = 0
+        p1, q1, p2, q2 = self.p, self.q, o.p, o.q
+        n = p2 * p2 - 2 * q2 * q2
+        if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt2)")
-        return Q2((self.a * o.a - 2 * self.b * o.b) / den,
-                  (self.b * o.a - self.a * o.b) / den)
+        if n < 0:
+            n, p2, q2 = -n, -p2, -q2
+        d2 = o.d
+        return _canon((p1 * p2 - 2 * q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2,
+                      self.d * n)
 
     def __rtruediv__(self, other):
         o = Q2._co(other)
@@ -92,47 +150,128 @@ class Q2:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        out = Q2(1)
+    def __pow__(self, n):
+        n = index(n)
         base = self
-        for _ in range(n):
-            out = out * base
+        if n < 0:
+            base = _ONE / base      # raises ZeroDivisionError for zero
+            n = -n
+        if not base.q:              # rational: coprime powers stay canonical
+            return _q2(base.p ** n, 0, base.d ** n)
+        out = _ONE
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.p or self.q)
 
     def __eq__(self, other):
-        o = Q2._co(other)
+        o = other if type(other) is Q2 else Q2._co(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.p == o.p and self.q == o.q and self.d == o.d
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # a rational element hashes as the Fraction (or int) it equals
+        if not self.q:
+            return hash(Q(self.p, self.d))
+        return hash((self.p, self.q, self.d))
 
     def __float__(self):
-        return float(self.a) + float(self.b) * 1.4142135623730951
+        # p/d is the correctly rounded quotient, the same float as float(a)
+        d = self.d
+        return self.p / d + (self.q / d) * _SQRT2_FLOAT
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     def __repr__(self):
-        if not self.b:
-            return f"{self.a}"
-        if not self.a:
-            return f"{self.b}*sqrt2"
-        return f"({self.a}+{self.b}*sqrt2)"
+        a, b = self.a, self.b
+        if not b:
+            return f"{a}"
+        if not a:
+            return f"{b}*sqrt2"
+        return f"({a}+{b}*sqrt2)"
 
 
+_ZERO = _q2(0, 0, 1)
+_ONE = _q2(1, 0, 1)
 SQRT2 = Q2(0, 1)
 INV_SQRT2 = Q2(0, Q(1, 2))  # 1/sqrt2 = sqrt2/2
+
+
+# unnormalised accumulation -------------------------------------------------
+#
+# An accumulator maps exponent triples to integer triples (P, Q, D), D > 0,
+# that are not reduced.  A partial sum with P = Q = 0 is exactly zero, so the
+# monomial is dropped the moment it cancels, as the term-by-term sums do;
+# _finish reduces each surviving coefficient once.
+
+def _acc(acc: dict, k: tuple, p: int, q: int, d: int) -> None:
+    t = acc.get(k)
+    if t is None:
+        if p or q:
+            acc[k] = (p, q, d)
+        return
+    P, Qs, D = t
+    if D == d:
+        P += p
+        Qs += q
+    else:
+        P = P * d + p * D
+        Qs = Qs * d + q * D
+        D *= d
+    if P or Qs:
+        acc[k] = (P, Qs, D)
+    else:
+        del acc[k]
+
+
+def _merge(acc: dict, items) -> None:
+    """Add (monomial, triple) pairs into acc."""
+    for k, (p, q, d) in items:
+        _acc(acc, k, p, q, d)
+
+
+def _product(st: dict, ot: dict) -> dict:
+    """Unnormalised Poly x Poly terms, in the order of the double loop."""
+    acc: dict = {}
+    other = [(k, v.p, v.q, v.d) for k, v in ot.items()]
+    for (a1, b1, c1), x in st.items():
+        p1, q1, d1 = x.p, x.q, x.d
+        for (a2, b2, c2), p2, q2, d2 in other:
+            _acc(acc, (a1 + a2, b1 + b2, c1 + c2), p1 * p2 + 2 * q1 * q2,
+                 p1 * q2 + q1 * p2, d1 * d2)
+    return acc
+
+
+def _scaled(terms: dict, c: Q2):
+    """Unnormalised c * terms; c is nonzero, so no product cancels."""
+    cp, cq, cd = c.p, c.q, c.d
+    return ((k, (v.p * cp + 2 * v.q * cq, v.p * cq + v.q * cp, v.d * cd))
+            for k, v in terms.items())
+
+
+def _finish(acc: dict) -> "Poly":
+    return _poly({k: _canon(p, q, d) for k, (p, q, d) in acc.items()})
+
+
+def _poly(terms: dict) -> "Poly":
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
 
 
 class Poly:
     """Polynomial in (y1, y2, zeta) with Q(sqrt2) coefficients.
 
-    terms maps exponent triples (a, b, c) for y1^a y2^b zeta^c to coefficients.
+    terms maps exponent triples (a, b, c) for y1^a y2^b zeta^c to nonzero
+    coefficients.
     """
 
     __slots__ = ("terms",)
@@ -169,14 +308,16 @@ class Poly:
         o = other if isinstance(other, Poly) else Poly.const(other)
         out = dict(self.terms)
         for k, v in o.terms.items():
-            s = out.get(k, Q2()) + v
+            w = out.get(k)
+            if w is None:
+                out[k] = v
+                continue
+            s = w + v
             if s:
                 out[k] = s
-            elif k in out:
+            else:
                 del out[k]
-        p = Poly()
-        p.terms = out
-        return p
+        return _poly(out)
 
     __radd__ = __add__
 
@@ -188,35 +329,20 @@ class Poly:
         return Poly.const(other) - self
 
     def __neg__(self):
-        p = Poly()
-        p.terms = {k: -v for k, v in self.terms.items()}
-        return p
+        return _poly({k: _q2(-v.p, -v.q, v.d) for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out: dict[tuple, Q2] = {}
-            for k1, v1 in self.terms.items():
-                for k2, v2 in other.terms.items():
-                    k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                    s = out.get(k, Q2()) + v1 * v2
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-            p = Poly()
-            p.terms = out
-            return p
+            return _finish(_product(self.terms, other.terms))
         c = Q2.of(other)
         if not c:
             return Poly()
-        p = Poly()
-        p.terms = {k: v * c for k, v in self.terms.items()}
-        return p
+        return _finish(dict(_scaled(self.terms, c)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self * (Q2(1) / Q2.of(other))
+        return self * (_ONE / Q2.of(other))
 
     def __eq__(self, other):
         o = other if isinstance(other, Poly) else Poly.const(other)
@@ -233,6 +359,7 @@ class Poly:
 
     # calculus ---------------------------------------------------------
     def diff(self, axis: int) -> "Poly":
+        # lowering one exponent is injective, so no two terms meet
         out: dict[tuple, Q2] = {}
         for k, v in self.terms.items():
             e = k[axis]
@@ -240,23 +367,12 @@ class Poly:
                 continue
             kk = list(k)
             kk[axis] = e - 1
-            kk = tuple(kk)
-            s = out.get(kk, Q2()) + v * e
-            if s:
-                out[kk] = s
-            elif kk in out:
-                del out[kk]
-        p = Poly()
-        p.terms = out
-        return p
+            out[tuple(kk)] = v if e == 1 else _canon(v.p * e, v.q * e, v.d)
+        return _poly(out)
 
     def antiderivative_zeta(self) -> "Poly":
-        out = {}
-        for (a, b, c), v in self.terms.items():
-            out[(a, b, c + 1)] = v / (c + 1)
-        p = Poly()
-        p.terms = out
-        return p
+        return _poly({(a, b, c + 1): _canon(v.p, v.q, v.d * (c + 1))
+                      for (a, b, c), v in self.terms.items()})
 
     def integrate_zeta(self, lo=Q(-1, 2), hi=Q(1, 2)) -> "Poly":
         """Definite integral over zeta; result has zeta-degree 0."""
@@ -266,18 +382,15 @@ class Poly:
     def subs_zeta(self, value) -> "Poly":
         """Substitute a rational number for zeta."""
         val = Q2.of(value)
-        out: dict[tuple, Q2] = {}
+        powers = [_ONE]
+        acc: dict = {}
         for (a, b, c), v in self.terms.items():
-            coeff = v * (val ** c)
-            k = (a, b, 0)
-            s = out.get(k, Q2()) + coeff
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        p = Poly()
-        p.terms = out
-        return p
+            while len(powers) <= c:
+                powers.append(powers[-1] * val)
+            f = powers[c]
+            _acc(acc, (a, b, 0), v.p * f.p + 2 * v.q * f.q,
+                 v.p * f.q + v.q * f.p, v.d * f.d)
+        return _finish(acc)
 
     def scale_zeta(self, factor) -> "Poly":
         """Substitute zeta -> factor * zeta (exact change of thickness variable)."""
@@ -287,9 +400,7 @@ class Poly:
             coeff = v * (f ** c)
             if coeff:
                 out[(a, b, c)] = coeff
-        p = Poly()
-        p.terms = out
-        return p
+        return _poly(out)
 
     def eval(self, y1=0, y2=0, zeta=0):
         """Exact evaluation when inputs are rational/Q2; float inputs give float."""
@@ -299,7 +410,7 @@ class Poly:
                 tot += float(v) * float(y1) ** a * float(y2) ** b * float(zeta) ** c
             return tot
         y1, y2, zeta = Q2.of(y1), Q2.of(y2), Q2.of(zeta)
-        tot = Q2()
+        tot = _ZERO
         for (a, b, c), v in self.terms.items():
             tot = tot + v * (y1 ** a) * (y2 ** b) * (zeta ** c)
         return tot
@@ -311,7 +422,7 @@ class Poly:
         return max((k[2] for k in self.terms), default=-1)
 
     def coeff(self, a: int, b: int, c: int) -> Q2:
-        return self.terms.get((a, b, c), Q2())
+        return self.terms.get((a, b, c), _ZERO)
 
     def __repr__(self):
         if not self.terms:
@@ -325,6 +436,28 @@ class Poly:
             coef = repr(self.terms[k])
             bits.append(f"{coef}*{mono}" if mono else coef)
         return " + ".join(bits)
+
+
+def lincomb(pairs: Iterable) -> Poly:
+    """sum(x * y for x, y in pairs) where x or y (or both) is a Poly and the
+    other factor may be a scalar.
+
+    The products are accumulated unnormalised and every output coefficient
+    is reduced once; the term order is that of the sum taken term by term.
+    """
+    acc: dict = {}
+    for x, y in pairs:
+        if isinstance(x, Poly):
+            if isinstance(y, Poly):
+                _merge(acc, _product(x.terms, y.terms).items())
+                continue
+            terms, c = x.terms, y
+        else:
+            terms, c = y.terms, x
+        c = Q2.of(c)
+        if c:
+            _merge(acc, _scaled(terms, c))
+    return _finish(acc)
 
 
 ZERO = Poly.zero()
@@ -385,16 +518,10 @@ class PolyField:
 
 # exact dense linear algebra over any field (Fraction, Q2) ---------------
 
-def mat_apply(mat: Sequence[Sequence], vec: Sequence):
-    """Matrix times vector where entries may be scalars or Poly."""
-    out = []
-    for row in mat:
-        acc = None
-        for m, v in zip(row, vec):
-            term = v * m
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+def mat_apply(mat: Sequence[Sequence], vec: Sequence[Poly]) -> list:
+    """Matrix with scalar or Poly entries times a vector of Poly; each row
+    is one lincomb."""
+    return [lincomb(zip(vec, row)) for row in mat]
 
 
 def mat_mul(A, B):

@@ -32,8 +32,8 @@ from typing import Mapping, NamedTuple
 
 from .elastic import (_to_exact_matrix, layer_operator_parts,
                       reduced_stiffness_exact)
-from .polyfield import (INV_SQRT2, Poly, PolyField, Q2, SQRT2, mat_apply,
-                        mat_inv, mat_mul)
+from .polyfield import (INV_SQRT2, Poly, PolyField, Q2, SQRT2, lincomb,
+                        mat_apply, mat_inv, mat_mul)
 
 Q = Fraction
 
@@ -81,15 +81,15 @@ def apply_operator_table(table: Mapping, w: PolyField,
     several tables to one w without differentiating it twice."""
     if derivatives is None:
         derivatives = {}
-    out = [Poly.zero(), Poly.zero(), Poly.zero()]
+    pairs = ([], [], [])
     for (a, b), M in table.items():
         dw = _dy(w, a, b, derivatives)
         for i in range(3):
             for j in range(3):
                 m = M[i][j]
                 if m and dw[j]:
-                    out[i] = out[i] + m * dw[j]
-    return PolyField(out)
+                    pairs[i].append((m, dw[j]))
+    return PolyField([lincomb(p) for p in pairs])
 
 
 # ---------------------------------------------------------------------------
