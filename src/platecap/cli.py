@@ -29,9 +29,9 @@ from .elastic import (InvalidMaterial, check_stiffness, isotropic_stiffness,
                       reduced_stiffness)
 from .fem import MeshError, SolverError
 from .fundamental import construct_fundamental, verify_contour_identities
-from .inequalities import (NORM_VARIANTS, ContractError, SupportLayout,
-                           hardy_constant, hardy_ratio, korn_constant,
-                           korn_csv)
+from .inequalities import (HARDY_VARIANTS, NORM_VARIANTS, ContractError,
+                           SupportLayout, hardy_constant, hardy_ratio,
+                           korn_constant, korn_csv)
 from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         manufactured_membrane, operator_coefficients,
                         solution_csv, solve_bending, solve_membrane,
@@ -46,14 +46,10 @@ from .reduction import (ReductionError, bending_table_direct,
 
 log = logging.getLogger("platecap")
 
-KINDS = ("hardy", "korn-sweep", "kirchhoff", "fundsol-verify",
-         "ansatz-residual", "capacity")
-
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
               "debug": logging.DEBUG}
 
-HARDY_VARIANT_NAMES = ("inverse-square", "edge-log", "pole-log",
-                       "shifted-quartic")
+HARDY_VARIANT_NAMES = tuple(HARDY_VARIANTS)
 # short labels accepted as aliases on the command line
 HARDY_ALIASES = {"2.15": "inverse-square", "2.16": "edge-log",
                  "2.21": "pole-log", "2.22": "shifted-quartic"}
@@ -504,7 +500,7 @@ def run_hardy(cfg: ExperimentConfig):
     rows = ["variant,sample,ratio"]
     failures = []
     for variant in variants:
-        end = len(x) - 1 if variant == "edge-log" else 0
+        end = HARDY_VARIANTS[variant][1]
         u = random_admissible_walks(rng, p["samples"], len(x), end)
         ratios = np.atleast_1d(hardy_ratio(x, u, variant, h=p["h"]))
         bound = hardy_constant(variant)

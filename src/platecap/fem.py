@@ -18,16 +18,16 @@ corner-pair order, so repeated runs produce bit-identical matrices.
 
 Direct solves share one path, EliminationSolver: it drops the Dirichlet dofs,
 factors the free block once and then solves any number of right-hand sides
-per call.  Systems built on a node grid remember its shape and the reach
-of their couplings: Q1 assembly couples nearest neighbours (reach 1), the
-plate's bending matrix nodes two apart (reach 2).  Their free block is
-factored in geometric nested-dissection order (George 1973), cut by slabs
-as wide as that reach, with SuperLU's own column ordering and pivoting
-switched off; that ordering keeps the L+U fill of the 3D layer box about a
-third below COLAMD's.  Only hand-built systems without a grid keep SuperLU's
-default ordering.  The smallest eigenpair of a pencil (K, M) comes from
-ARPACK in shift-invert mode, whose inner solves reuse that one factorization
-of K.  The iterative path is SciPy's Jacobi-preconditioned CG.
+per call.  Every system it factors lives on a node grid and remembers its
+shape and the reach of its couplings: Q1 assembly couples nearest
+neighbours (reach 1), the plate's bending matrix nodes two apart (reach 2).
+The free block is factored in geometric nested-dissection order (George
+1973), cut by slabs as wide as that reach, with SuperLU's own column
+ordering and pivoting switched off; that ordering keeps the L+U fill of the
+3D layer box about a third below COLAMD's.  The smallest eigenpair of a
+pencil (K, M) comes from ARPACK in shift-invert mode, whose inner solves
+reuse that one factorization of K.  The iterative path is SciPy's
+Jacobi-preconditioned CG.
 """
 from __future__ import annotations
 
@@ -460,12 +460,12 @@ class EliminationSolver:
 
     Capacity extraction and ARPACK's shift-invert steps repeatedly solve with
     the same matrix and varying right-hand sides; a single sparse LU shared
-    across those solves replaces thousands of CG iterations.  For a system
-    built on a grid (``grid_shape`` set) the free block is permuted into
-    nested-dissection order, with separator slabs ``grid_reach`` node planes
-    wide, and factored without further column ordering or pivoting, which an
-    SPD block does not need.  Only hand-built systems without a grid leave
-    the ordering and pivoting to SuperLU.  The permuted free block is cut
+    across those solves replaces thousands of CG iterations.  The system
+    must say which node grid its dofs live on (``grid_shape``): the free
+    block is permuted into nested-dissection order, with separator slabs
+    ``grid_reach`` node planes wide, and factored without further column
+    ordering or pivoting, which an SPD block does not need.  A system
+    without a grid raises ValueError.  The permuted free block is cut
     from K in one indexing step and is the only copy of it alive while
     SuperLU factors; the solver keeps the factor, not the block.
     ``solve`` takes one set of boundary values (n_fixed,) or a batch
@@ -473,6 +473,10 @@ class EliminationSolver:
     """
 
     def __init__(self, system: SparseSystem):
+        shape = system.grid_shape
+        if shape is None:
+            raise ValueError("EliminationSolver needs the system's "
+                             "grid_shape for its nested-dissection order")
         K = system.matrix.tocsr()
         n = K.shape[0]
         fixed, fvals = system.constraints.dirichlet_dofs()
@@ -486,21 +490,17 @@ class EliminationSolver:
         self._lu = None
         if not len(free):
             return
-        shape = system.grid_shape
-        if shape is None:
-            q, opts = free, {}
-        else:
-            ncomp = n // int(np.prod(shape))
-            order = nested_dissection(shape, width=system.grid_reach)
-            dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
-            rank = np.empty(n, dtype=int)
-            rank[dofs] = np.arange(n)
-            self._perm = np.argsort(rank[free], kind="stable")
-            q = free[self._perm]
-            opts = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                        options=dict(SymmetricMode=True))
+        ncomp = n // int(np.prod(shape))
+        order = nested_dissection(shape, width=system.grid_reach)
+        dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
+        rank = np.empty(n, dtype=int)
+        rank[dofs] = np.arange(n)
+        self._perm = np.argsort(rank[free], kind="stable")
+        q = free[self._perm]
         try:
-            self._lu = spla.splu(K[q][:, q].tocsc(), **opts)
+            self._lu = spla.splu(K[q][:, q].tocsc(), permc_spec="NATURAL",
+                                 diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}")
 
@@ -524,8 +524,6 @@ class EliminationSolver:
 
     def solve_free(self, b: np.ndarray) -> np.ndarray:
         """Kff^{-1} b for b of shape (n_free,) or (n_free, k)."""
-        if self._perm is None:
-            return self._lu.solve(b)
         x = np.empty_like(b, dtype=float)
         x[self._perm] = self._lu.solve(b[self._perm])
         return x
@@ -647,7 +645,8 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
     reproducible.  ARPACK's own tolerance bounds the Ritz estimate of the
     inverted operator, so it runs at tol/100; the returned pair must then
     meet ||K u - lambda M u|| / ||M u|| <= tol, with u M-normalised and
-    lambda its Rayleigh quotient.
+    lambda its Rayleigh quotient.  Returns (lambda, u on all dofs, that
+    residual).
     """
     M = M_matrix.matrix if isinstance(M_matrix, SparseSystem) else M_matrix
     solver = EliminationSolver(K_system)
@@ -680,7 +679,7 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
         raise SolverError(f"matrix indefinite under constraints: lambda={lam}")
     vec = np.zeros(K_system.n)
     vec[free] = x
-    return lam, vec
+    return lam, vec, res
 
 
 def dump_matrix_market(path: str, matrix: sp.spmatrix) -> None:

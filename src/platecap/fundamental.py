@@ -116,11 +116,6 @@ class LogField:
     def zero(n: int) -> "LogField":
         return LogField({}, n)
 
-    def _get(self, k):
-        z = np.zeros(self.n, dtype=complex)
-        a, b = self.terms.get(k, (z, z))
-        return a, b
-
     def d(self, axis: int) -> "LogField":
         out = {}
         for k, (A, B) in self.terms.items():

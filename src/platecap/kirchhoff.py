@@ -149,7 +149,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
     axis by axis (``fem.apply_mass``); no mass matrix is assembled.
     """
     grid = domain.grid
-    A0f = mat_to_float(_to_exact_matrix(A0))
+    A0f = mat_to_float(A0)
     cs = ConstraintSet(ncomp=2)
     cs.fix_nodes(domain.boundary_nodes())
     system = assemble_elastic(grid, A0f, cs)
@@ -215,7 +215,7 @@ def _node_weights(domain: PlateDomain) -> np.ndarray:
 
 def bending_system(domain: PlateDomain, A0,
                    enforce_point: bool = True) -> SparseSystem:
-    A0f = mat_to_float(_to_exact_matrix(A0))
+    A0f = mat_to_float(A0)
     D = _curvature_matrix(domain)
     w = _node_weights(domain)
     S = sp.kron(sp.diags(w), sp.csr_matrix(A0f / 6.0), format="csr")

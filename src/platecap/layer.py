@@ -28,9 +28,11 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyadd as _polyadd
 from numpy.polynomial.polynomial import polyval as _polyval
 
-from .elastic import full_operator, layer_operator_parts
+from .elastic import (full_operator, layer_operator_parts,
+                      rigid_motion_matrix)
 from .fem import (ConstraintSet, EliminationSolver, MeshError, SolverError,
                   StructuredGrid, assemble_elastic, assemble_load,
                   assemble_pointwise_form, solve_cg)
@@ -218,41 +220,14 @@ def rigid_sharp(points) -> np.ndarray:
     the two tilts that keep the vertical growth linear; the vertical
     translation and the in-plane spin are excluded (they are not admissible
     drifts of a decaying layer field)."""
+    return np.take(rigid_motion_matrix(np.atleast_2d(points)), [0, 1, 3, 4],
+                   axis=-1)
+
+
+def _trilinear(grid: StructuredGrid, points: np.ndarray):
+    """Trilinear stencil of the points: corner node ids (8, n) and weights
+    (8, n), corner k offset by bit d of k along axis d."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros((len(pts), 3, 4))
-    out[:, 0, 0] = 1.0
-    out[:, 1, 1] = 1.0
-    out[:, 1, 2] = -pts[:, 2]
-    out[:, 2, 2] = pts[:, 1]
-    out[:, 0, 3] = pts[:, 2]
-    out[:, 2, 3] = -pts[:, 0]
-    return out
-
-
-def _stencil_nodes(grid: StructuredGrid, points: np.ndarray) -> np.ndarray:
-    """Unique node ids touched by trilinear interpolation at the points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    shape = grid.shape
-    idx = [np.clip(np.searchsorted(ax, pts[:, d], side="right") - 1, 0,
-                   len(ax) - 2) for d, ax in enumerate(grid.axes)]
-    stride = (shape[1] * shape[2], shape[2], 1)
-    ids = []
-    for corner in range(8):
-        nid = np.zeros(len(pts), dtype=int)
-        for d in range(3):
-            nid += (idx[d] + ((corner >> d) & 1)) * stride[d]
-        ids.append(nid)
-    return np.unique(np.concatenate(ids))
-
-
-def grid_interpolate(grid: StructuredGrid, values: np.ndarray,
-                     points: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of nodal values (n_nodes, c) at points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(values, dtype=float)
-    flat = vals.ndim == 1
-    if flat:
-        vals = vals[:, None]
     shape = grid.shape
     idx, loc = [], []
     for d, ax in enumerate(grid.axes):
@@ -264,17 +239,35 @@ def grid_interpolate(grid: StructuredGrid, values: np.ndarray,
                     len(ax) - 2)
         idx.append(i)
         loc.append((x - ax[i]) / (ax[i + 1] - ax[i]))
-    out = np.zeros((len(pts), vals.shape[1]))
+    stride = (shape[1] * shape[2], shape[2], 1)
+    ids = np.zeros((8, len(pts)), dtype=int)
+    weights = np.ones((8, len(pts)))
     for corner in range(8):
-        off = [(corner >> d) & 1 for d in range(3)]
-        w = np.ones(len(pts))
-        ids = np.zeros(len(pts), dtype=int)
-        stride = (shape[1] * shape[2], shape[2], 1)
         for d in range(3):
-            w = w * (loc[d] if off[d] else 1.0 - loc[d])
-            ids = ids + (idx[d] + off[d]) * stride[d]
-        out += w[:, None] * vals[ids]
+            off = (corner >> d) & 1
+            weights[corner] *= loc[d] if off else 1.0 - loc[d]
+            ids[corner] += (idx[d] + off) * stride[d]
+    return ids, weights
+
+
+def _apply_stencil(stencil, values: np.ndarray) -> np.ndarray:
+    """Nodal values (n_nodes,) or (n_nodes, c) read through a trilinear
+    stencil."""
+    ids, weights = stencil
+    vals = np.asarray(values, dtype=float)
+    flat = vals.ndim == 1
+    if flat:
+        vals = vals[:, None]
+    out = np.zeros((ids.shape[1], vals.shape[1]))
+    for corner_ids, w in zip(ids, weights):
+        out += w[:, None] * vals[corner_ids]
     return out[:, 0] if flat else out
+
+
+def grid_interpolate(grid: StructuredGrid, values: np.ndarray,
+                     points: np.ndarray) -> np.ndarray:
+    """Trilinear interpolation of nodal values (n_nodes, c) at points."""
+    return _apply_stencil(_trilinear(grid, points), values)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +495,9 @@ class FarFieldExpansion:
         self.operators = operators
         self._fields = phi.fields()
         self._dcache = {}
-        merged = [dict() for _ in range(4)]
+        # zeta coefficients of component i applied to derivative (a, b) of
+        # fundamental row j, summed over the operator tables
+        merged = {}
         for table in operators.tables:
             for (a, b), M in table.items():
                 for i in range(3):
@@ -510,30 +505,15 @@ class FarFieldExpansion:
                         poly = M[i][j]
                         if poly.is_zero():
                             continue
-                        deg = poly.zeta_degree()
-                        co = np.array([float(poly.coeff(0, 0, k))
-                                       for k in range(deg + 1)])
-                        for col in range(4):
-                            if not self._fields[j][col].terms:
-                                continue
-                            key = (i, j, a, b)
-                            old = merged[col].get(key)
-                            if old is None:
-                                merged[col][key] = co.copy()
-                            else:
-                                m = max(len(old), len(co))
-                                s = np.zeros(m)
-                                s[:len(old)] += old
-                                s[:len(co)] += co
-                                merged[col][key] = s
-        self._contribs = []
-        for col in range(4):
-            rows = []
-            for (i, j, a, b), co in sorted(merged[col].items()):
-                f = self._derivative(j, col, a, b)
-                if f.terms:
-                    rows.append((i, co, f))
-            self._contribs.append(rows)
+                        co = np.array([float(poly.coeff(0, 0, k)) for k
+                                       in range(poly.zeta_degree() + 1)])
+                        key = (i, j, a, b)
+                        merged[key] = (_polyadd(merged[key], co)
+                                       if key in merged else co)
+        self._contribs = [
+            [(i, co, f) for (i, j, a, b), co in sorted(merged.items())
+             if (f := self._derivative(j, col, a, b)).terms]
+            for col in range(4)]
 
     def _derivative(self, j, col, a, b):
         key = (j, col, a, b)
@@ -632,6 +612,7 @@ class FitResult:
     bars: np.ndarray       # per-coefficient error bars (4,)
     spread: np.ndarray     # per-coefficient radial sub-band spread (4,)
     coef: np.ndarray       # full coefficient vector incl. any extras
+    band_residuals: np.ndarray  # (3,) weighted rms misfit per radial sub-band
 
 
 def _gram_solver(G: np.ndarray):
@@ -669,7 +650,13 @@ class _AnnulusFitter:
     rule (independent of the mesh, so refitting after mesh or cutoff changes
     is meaningful).  extra: callable points (n,3) -> (n,3,M) appending
     further exact basis fields to the regression; the first four
-    coefficients stay the rigid drift."""
+    coefficients stay the rigid drift.
+
+    The radial shells split into (at most) three contiguous sub-bands, the
+    thirds of the annulus when n_radial is a multiple of three; each fit
+    reports its band refits and its misfit per band.  The trilinear stencil
+    of the quadrature points is built once; ``stencil_nodes`` lists the
+    mesh nodes it reads."""
 
     def __init__(self, mesh: LayerMesh, annulus=(0.55, 0.8),
                  n_angular: int = 48, n_radial: int = 6, extra=None):
@@ -689,6 +676,8 @@ class _AnnulusFitter:
         self.weights = (R * dr * dphi * dz).ravel()
         self.mesh = mesh
         self.annulus = (float(a0), float(a1))
+        self._stencil = _trilinear(mesh.grid, self.points)
+        self.stencil_nodes = np.unique(self._stencil[0])
         self.D = rigid_sharp(self.points)
         B = (self.D if extra is None
              else np.concatenate([self.D, extra(self.points)], axis=2))
@@ -712,7 +701,8 @@ class _AnnulusFitter:
                                             (s + 1) * per_shell) for s in g])
             G = np.einsum("q,qim,qin->mn", self.weights[sel], Bs[sel],
                           Bs[sel])
-            self._bands.append((sel, _gram_solver(G)))
+            self._bands.append((sel, float(self.weights[sel].sum()),
+                                _gram_solver(G)))
 
     def fit_samples(self, samples: np.ndarray) -> FitResult:
         """samples (nq,3): the field minus any template, already evaluated
@@ -726,32 +716,29 @@ class _AnnulusFitter:
         b = np.einsum("q,qim,qi->m", self.weights, self._Bs, samples)
         y = self._solve[0](b)
         coef = y / self.colscale
-        res = self.rms(samples - np.einsum("qim,m->qi", self.B, coef))
+        misfit = samples - np.einsum("qim,m->qi", self.B, coef)
+        res = self.rms(misfit)
         drift = self.rms(np.einsum("qia,a->qi", self.D, coef[:4]))
+        sq = self.weights * (misfit ** 2).sum(1)
         spread = np.zeros(self.m)
-        for sel, (bsolve, _) in self._bands:
+        band_res = []
+        for sel, total, (bsolve, _) in self._bands:
             yb = bsolve(np.einsum("q,qim,qi->m", self.weights[sel],
                                   self._Bs[sel], samples[sel]))
             spread = np.maximum(spread, np.abs(yb / self.colscale - coef))
+            band_res.append(math.sqrt(max(sq[sel].sum() / total, 0.0)))
         lsq = res * np.sqrt(self._solve[1] * self.total) / self.colscale
         return FitResult(c=coef[:4], residual=res, drift=drift,
                          bars=(lsq + spread)[:4], spread=spread[:4],
-                         coef=coef)
+                         coef=coef, band_residuals=np.array(band_res))
 
     def interpolate(self, values: np.ndarray) -> np.ndarray:
-        return grid_interpolate(self.mesh.grid, values, self.points)
+        return _apply_stencil(self._stencil, values)
 
     def rms(self, samples: np.ndarray) -> float:
         """Weighted rms over the annulus of samples (nq,3)."""
         return math.sqrt(max((self.weights * (samples ** 2).sum(1)).sum()
                              / self.total, 0.0))
-
-    def residual_of(self, samples: np.ndarray, coef: np.ndarray) -> float:
-        """Weighted rms misfit of samples against the basis combination
-        coef; accepts the rigid 4-vector or the full coefficient vector."""
-        coef = np.asarray(coef, dtype=float)
-        base = self.B[:, :, :len(coef)]
-        return self.rms(samples - np.einsum("qim,m->qi", base, coef))
 
 
 def fit_rigid(mesh: LayerMesh, values: np.ndarray) -> FitResult:
@@ -826,7 +813,7 @@ class PotentialSolution:
     x: np.ndarray                 # (m,4) full closure coefficients
     expansion: FarFieldExpansion
     chi_scale: float
-    closure: str
+    band_residuals: np.ndarray    # (4, 3) final misfit per fit sub-band
 
 
 # Literal sweeps after the closure jump stop once the coefficient update is
@@ -840,13 +827,6 @@ _RESIDUAL_WARN = 0.25
 # fields appended to the four rigid columns (None: rigid columns alone)
 CLOSURES = {"enriched": "enrichment_basis", "dipole": "dipole_basis",
             "plain": None}
-
-
-def _closure_basis(expansion: FarFieldExpansion, closure: str):
-    """Extra regression fields of a closure, points (n,3) -> (n,3,M), or
-    None for the plain closure."""
-    method = CLOSURES[closure]
-    return None if method is None else getattr(expansion, method)
 
 
 def check_matching_window(mesh: LayerMesh, annulus,
@@ -886,13 +866,18 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     closure="enriched" the first and second derivatives: exact exterior
     fields one or two growth orders down that carry the dominant part of
     what the finite walls would otherwise chop.  The capacity is still read
-    off the rigid coefficients alone.  annulus, n_angular and n_radial set
-    the matching window and its quadrature, chi_scale the cutoff radius (in
-    patch radii) used by the decay report.  Returns
+    off the rigid coefficients alone.  annulus, n_angular and n_radial (a
+    multiple of three) set the matching window and its quadrature,
+    chi_scale the cutoff radius (in patch radii) used by the decay report.
+    Returns
     (CapacityMatrix, PotentialSolution).
     """
     if closure not in CLOSURES:
         raise ValueError(f"unknown closure {closure!r}")
+    if n_radial < 3 or n_radial % 3:
+        raise ContractError("n_radial must be a positive multiple of three: "
+                            "the fit's radial sub-bands are the thirds of "
+                            "the annulus")
     check_matching_window(mesh, annulus, chi_scale)
     expansion = FarFieldExpansion(fundamentals, operators)
     Amat = mat_to_float(A)
@@ -908,7 +893,8 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                             "defining contour identities for this "
                             f"material (defect {report.max_defect:.3e})")
 
-    extra = _closure_basis(expansion, closure)
+    method = CLOSURES[closure]
+    extra = None if method is None else getattr(expansion, method)
     fitter = _AnnulusFitter(mesh, annulus=annulus, n_angular=n_angular,
                             n_radial=n_radial, extra=extra)
     grid = mesh.grid
@@ -929,7 +915,7 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     # nodal difference solution - template: trilinear interpolation then
     # cancels the template's own interpolation error (it reproduces the
     # rigid part exactly), leaving only the small remainder to resolve
-    stencil = _stencil_nodes(grid, fitter.points)
+    stencil = fitter.stencil_nodes
     xi_nodal = np.zeros((4, grid.n_nodes, 3))
     for col in range(4):
         xi_nodal[col, stencil] = expansion.eval_column(col, nodes[stencil])
@@ -1056,7 +1042,9 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                          annulus=(float(a0), float(a1)), closure=closure)
     pot = PotentialSolution(mesh=mesh, columns=columns, histories=histories,
                             c=C, x=X, expansion=expansion,
-                            chi_scale=float(chi_scale), closure=closure)
+                            chi_scale=float(chi_scale),
+                            band_residuals=np.stack([fit.band_residuals
+                                                     for fit in fits]))
     return cap, pot
 
 
@@ -1079,8 +1067,7 @@ class DecayReport:
     band_residuals: np.ndarray    # (3,) rms residual of the converged fit
 
 
-# trace circles of the decay report, and sample angles on each circle and
-# fit sub-band
+# trace circles of the decay report, and sample angles on each circle
 _DECAY_RADII = 14
 _DECAY_ANGLES = 48
 
@@ -1094,6 +1081,11 @@ def symmetry_and_decay_report(cap: CapacityMatrix,
     thickness.  Row norms aggregate the four columns; growth exponents are
     least-squares slopes of log(norm) vs log(rho) between twice the patch
     radius and half the box.
+
+    The band residuals are the converged fit's own misfit on its three
+    radial sub-bands (``PotentialSolution.band_residuals``), rms over the
+    four columns; no fit is repeated here.  band_radii are the centres of
+    those bands, the thirds of the annulus.
     """
     mesh = pot.mesh
     R, T = mesh.R_theta, mesh.T
@@ -1111,12 +1103,13 @@ def symmetry_and_decay_report(cap: CapacityMatrix,
         # field - (1-chi) template - rigid drift, rewritten as
         # (field - template) + chi template - drift so that interpolation
         # acts on the small difference and the template part stays exact
-        stencil = _stencil_nodes(mesh.grid, pts)
+        st = _trilinear(mesh.grid, pts)
+        stencil = np.unique(st[0])
         acc = np.zeros((len(pts), 3))
         for col in range(4):
             diff = pot.columns[col].copy()
             diff[stencil] -= pot.expansion.eval_column(col, nodes[stencil])
-            rem = grid_interpolate(mesh.grid, diff, pts)
+            rem = _apply_stencil(st, diff)
             rem = rem - np.einsum("qia,a->qi", D, pot.c[:, col])
             if chi > 0.0:
                 rem = rem + chi * pot.expansion.eval_column(col, pts)
@@ -1131,24 +1124,9 @@ def symmetry_and_decay_report(cap: CapacityMatrix,
                    np.log(np.maximum(row_norms[i, sel], 1e-300)), 1)[0]
         for i in range(3)])
 
-    a0, a1 = cap.annulus
-    edges = np.linspace(a0, a1, 4)
-    band_r = np.empty(3)
-    band_res = np.empty(3)
-    extra = _closure_basis(pot.expansion, pot.closure)
-    for b in range(3):
-        sub = _AnnulusFitter(mesh, annulus=(edges[b], edges[b + 1]),
-                             n_angular=_DECAY_ANGLES, n_radial=2, extra=extra)
-        band_r[b] = 0.5 * (edges[b] + edges[b + 1]) * T
-        stencil = _stencil_nodes(mesh.grid, sub.points)
-        acc = 0.0
-        for col in range(4):
-            diff = pot.columns[col].copy()
-            diff[stencil] -= pot.expansion.eval_column(col, nodes[stencil])
-            acc += sub.residual_of(sub.interpolate(diff),
-                                   pot.x[:, col]) ** 2
-        band_res[b] = math.sqrt(acc / 4.0)
-
+    edges = np.linspace(*cap.annulus, 4)
+    band_r = 0.5 * (edges[:-1] + edges[1:]) * T
+    band_res = np.sqrt((pot.band_residuals ** 2).mean(axis=0))
     sym = 0.5 * (cap.C + cap.C.T)
     return DecayReport(C=cap.C.copy(), C_symmetrized=sym,
                        symmetry_defect=cap.symmetry_defect, radii=radii,

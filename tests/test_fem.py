@@ -25,7 +25,8 @@ def laplacian_1d(n):
     d = 1.0 / (n + 1)
     K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) / d ** 2
     return SparseSystem(matrix=K.tocsr(), rhs=np.zeros(n),
-                        constraints=ConstraintSet(ncomp=1)), d
+                        constraints=ConstraintSet(ncomp=1),
+                        grid_shape=(n,)), d
 
 
 class TestGrid:
@@ -341,14 +342,14 @@ class TestCG:
 class TestEigen:
     def test_k_equals_m(self):
         sysm, _ = laplacian_1d(30)
-        lam, vec = smallest_eigenpair(sysm, sysm.matrix)
+        lam, vec, _ = smallest_eigenpair(sysm, sysm.matrix)
         assert abs(lam - 1.0) < 1e-9
 
     def test_laplacian_spectrum_formula(self):
         n = 50
         sysm, d = laplacian_1d(n)
         M = sp.identity(n, format="csr")
-        lam, vec = smallest_eigenpair(sysm, M, tol=1e-10)
+        lam, vec, _ = smallest_eigenpair(sysm, M, tol=1e-10)
         exact = (2.0 - 2.0 * np.cos(np.pi * d)) / d ** 2
         assert abs(lam - exact) < 1e-6 * exact
         j = np.arange(1, n + 1)
@@ -359,7 +360,7 @@ class TestEigen:
     def test_rayleigh_quotient_bound(self):
         sysm, _ = laplacian_1d(25)
         M = sp.identity(25, format="csr")
-        lam, _ = smallest_eigenpair(sysm, M)
+        lam, _, _ = smallest_eigenpair(sysm, M)
         rng = np.random.default_rng(5)
         for _ in range(10):
             u = rng.standard_normal(25)
@@ -376,9 +377,22 @@ class TestEigen:
                 cs.fix_nodes(g.face_nodes(2, 1))
             sysm = assemble_elastic(g, A, cs)
             M = sp.identity(sysm.n, format="csr")
-            lam, _ = smallest_eigenpair(sysm, M, tol=1e-8)
+            lam, _, _ = smallest_eigenpair(sysm, M, tol=1e-8)
             lams.append(lam)
         assert lams[1] >= lams[0] - 1e-10
+
+    def test_returned_residual_matches_full_matrices(self):
+        g = StructuredGrid.uniform((0, 0, 0), (1, 1, 1), (2, 2, 2))
+        cs = ConstraintSet(ncomp=3)
+        cs.fix_nodes(g.face_nodes(2, 0))
+        sysm = assemble_elastic(g, isotropic_stiffness(1.0, 1.0), cs)
+        M = sp.diags(np.linspace(1.0, 2.0, sysm.n), format="csr")
+        lam, vec, res = smallest_eigenpair(sysm, M, tol=1e-8)
+        free = sysm.free_dofs()
+        r = (sysm.matrix @ vec - lam * (M @ vec))[free]
+        den = np.linalg.norm((M @ vec)[free])
+        assert res == float(np.linalg.norm(r)) / den
+        assert res <= 1e-8
 
 
 class TestConstrained:
@@ -414,7 +428,8 @@ class TestConstrained:
         g, sysm = self._clamped_system()
         x0, _, _ = solve_constrained(
             SparseSystem(sysm.matrix, sysm.rhs, ConstraintSet(
-                ncomp=3, dirichlet=dict(sysm.constraints.dirichlet))))
+                ncomp=3, dirichlet=dict(sysm.constraints.dirichlet)),
+                grid_shape=sysm.grid_shape))
         node = int(g.face_nodes(2, 1)[0])
         dof = node * 3 + 2
         sysm.constraints.add_lagrange([dof], [1.0], float(x0[dof]))
@@ -463,6 +478,12 @@ class TestEliminationSolver:
             assert np.allclose(x[solver.fixed], vals)
             r = (sysm.matrix @ x)[solver.free]
             assert np.linalg.norm(r) < 1e-10
+
+    def test_system_without_grid_rejected(self):
+        sysm, _ = laplacian_1d(10)
+        sysm.grid_shape = None
+        with pytest.raises(ValueError, match="grid_shape"):
+            EliminationSolver(sysm)
 
 
 def _recursive_dissection(shape, width):

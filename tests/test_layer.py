@@ -182,6 +182,19 @@ class TestInterpolation:
                                 np.array([[0.5, 0.5, 0.5]]))
         assert out3.shape == (1, 3) and np.allclose(out3, out[0])
 
+    def test_fitter_stencil_matches_grid_interpolate(self):
+        # the fitter caches the trilinear stencil of its quadrature points;
+        # reading a field through it must not change a single bit
+        m = layer_mesh(n_z=3, inner_step=0.5, growth_cap=1.5)
+        fitter = layer._AnnulusFitter(m)
+        vals = np.random.default_rng(3).normal(size=(m.grid.n_nodes, 3))
+        ref = grid_interpolate(m.grid, vals, fitter.points)
+        assert np.array_equal(fitter.interpolate(vals), ref)
+        touched = np.zeros(m.grid.n_nodes, dtype=bool)
+        touched[fitter.stencil_nodes] = True
+        vals[~touched] = np.nan
+        assert np.array_equal(fitter.interpolate(vals), ref)
+
 
 class TestSolveLayerProblem:
     def test_zero_data_zero_solution(self):
@@ -518,6 +531,13 @@ class TestCapacityContracts:
         with pytest.raises(ContractError):
             extract_capacity(mesh, A1, phi, ops, annulus=(0.2, 0.4))
 
+    @pytest.mark.parametrize("n_radial", [2, 4])
+    def test_radial_shells_split_into_thirds(self, coarse_run, ops, phi,
+                                             n_radial):
+        _, _, mesh = coarse_run
+        with pytest.raises(ContractError, match="multiple of three"):
+            extract_capacity(mesh, A1, phi, ops, n_radial=n_radial)
+
     def test_material_mismatch(self, coarse_run, ops, phi):
         _, _, mesh = coarse_run
         doubled = 2.0 * np.array([[float(x) for x in row] for row in A1])
@@ -542,10 +562,38 @@ class TestCapacityContracts:
         assert cap.warning
 
 
+def _refit_band_residuals(cap, pot, mesh):
+    """Reference band residuals: one fitter of two shells per third of the
+    annulus, and the misfit of the converged coefficients on each."""
+    method = CLOSURES[cap.closure]
+    extra = None if method is None else getattr(pot.expansion, method)
+    nodes = mesh.grid.nodes()
+    edges = np.linspace(*cap.annulus, 4)
+    radii, residuals = np.empty(3), np.empty(3)
+    for b in range(3):
+        sub = layer._AnnulusFitter(mesh, annulus=(edges[b], edges[b + 1]),
+                                   n_angular=48, n_radial=2, extra=extra)
+        radii[b] = 0.5 * (edges[b] + edges[b + 1]) * mesh.T
+        near = sub.stencil_nodes
+        acc = 0.0
+        for col in range(4):
+            diff = pot.columns[col].copy()
+            diff[near] -= pot.expansion.eval_column(col, nodes[near])
+            samples = grid_interpolate(mesh.grid, diff, sub.points)
+            misfit = samples - np.einsum("qim,m->qi", sub.B, pot.x[:, col])
+            acc += sub.rms(misfit) ** 2
+        residuals[b] = math.sqrt(acc / 4.0)
+    return radii, residuals
+
+
 class TestCapacityReports:
     def test_decay_report(self, coarse_run):
         cap, pot, mesh = coarse_run
         rep = symmetry_and_decay_report(cap, pot)
+        ref_radii, ref_residuals = _refit_band_residuals(cap, pot, mesh)
+        assert np.array_equal(rep.band_radii, ref_radii)
+        np.testing.assert_allclose(rep.band_residuals, ref_residuals,
+                                   rtol=1e-12, atol=0.0)
         assert rep.symmetry_defect == pytest.approx(cap.symmetry_defect)
         assert np.abs(rep.C_symmetrized - rep.C_symmetrized.T).max() < 1e-15
         assert rep.growth_exponents[0] < 1.0
