@@ -8,10 +8,20 @@ of precedence.  Same config + same seed gives byte-identical outputs.
 
 Exit codes: 0 ok, 1 assertion failure or a solver, extraction or reduction
 error at compute time, 2 configuration error.
+
+While ``main`` runs, every OpenBLAS pool the process has loaded runs on one
+thread, and gets its old count back when ``main`` returns or raises.  The
+sparse solvers make many small BLAS calls, after each of which idle OpenBLAS
+workers spin; ``--jobs`` (threads over sweep points) is the only
+parallelism.  Code that calls the compute modules directly keeps its own
+BLAS settings.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import logging
 import math
@@ -120,7 +130,10 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                          "nothing")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``platecap`` parser, built once per process (it takes a few
+    milliseconds, as long as a small run); parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="platecap",
         description="Korn constants, Kirchhoff plates, and elastic "
@@ -728,12 +741,73 @@ def _setup_logging() -> None:
                         stream=sys.stderr)
 
 
+# thread-count setter and getter of an OpenBLAS build: scipy's, numpy's
+# (64-bit interface), a system library's; the first pair present wins
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+@functools.cache
+def _openblas_pools() -> tuple:
+    """(setter, getter) of each OpenBLAS library already loaded in this
+    process, found once from /proc/self/maps without loading anything;
+    empty where there is none or no way to look."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({f[5] for f in map(str.split, maps)
+                            if len(f) == 6
+                            and "openblas" in os.path.basename(f[5])})
+    except OSError:     # not Linux
+        paths = []
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                pools.append((setter, getter))
+                break
+    if pools:
+        log.info("blas: %d OpenBLAS pools at 1 thread (were %s)", len(pools),
+                 ", ".join(str(get()) for _, get in pools))
+    else:
+        log.info("blas: no OpenBLAS pool found, thread counts left as they "
+                 "are")
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS pool on one thread."""
+    pools = _openblas_pools()
+    counts = [get() for _, get in pools]
+    for setter, _ in pools:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), n in zip(pools, counts):
+            setter(n)
+
+
 def main(argv=None) -> int:
     try:
         _setup_logging()
     except ConfigError as e:
         print(f"platecap: {e}", file=sys.stderr)
         return 2
+    with _one_blas_thread():
+        return _main(argv)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -192,13 +192,16 @@ class ConstraintSet:
                               np.asarray(coeffs, dtype=float), float(target)))
 
     def dirichlet_dofs(self):
+        """Dirichlet dofs node * ncomp + comp in increasing order, and their
+        values."""
         if not self.dirichlet:
             return np.empty(0, dtype=int), np.empty(0)
-        items = sorted(self.dirichlet.items(),
-                       key=lambda kv: kv[0][0] * self.ncomp + kv[0][1])
-        dofs = np.array([n * self.ncomp + c for (n, c), _ in items])
-        vals = np.array([v for _, v in items])
-        return dofs, vals
+        keys = np.array(list(self.dirichlet), dtype=int)
+        dofs = keys[:, 0] * self.ncomp + keys[:, 1]
+        vals = np.fromiter(self.dirichlet.values(), dtype=float,
+                           count=len(dofs))
+        order = np.argsort(dofs, kind="stable")
+        return dofs[order], vals[order]
 
 
 @dataclass
@@ -213,12 +216,18 @@ class SparseSystem:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def free_dofs(self) -> np.ndarray:
-        """Sorted dofs without a Dirichlet value; dofs that only carry a
+    def split_dofs(self):
+        """(fixed, values, free): the Dirichlet dofs and values, and the
+        sorted dofs without a Dirichlet value; dofs that only carry a
         Lagrange row stay free."""
+        fixed, vals = self.constraints.dirichlet_dofs()
         mask = np.ones(self.n, dtype=bool)
-        mask[self.constraints.dirichlet_dofs()[0]] = False
-        return np.flatnonzero(mask)
+        mask[fixed] = False
+        return fixed, vals, np.flatnonzero(mask)
+
+    def free_dofs(self) -> np.ndarray:
+        """Sorted dofs without a Dirichlet value."""
+        return self.split_dofs()[2]
 
 
 @dataclass
@@ -479,8 +488,8 @@ class EliminationSolver:
                              "grid_shape for its nested-dissection order")
         K = system.matrix.tocsr()
         n = K.shape[0]
-        fixed, fvals = system.constraints.dirichlet_dofs()
-        free = self.free = system.free_dofs()
+        fixed, fvals, free = system.split_dofs()
+        self.free = free
         self.fixed = fixed
         self.fixed_values = fvals
         self.n = n
@@ -539,8 +548,7 @@ def solve_cg(system: SparseSystem, tol: float = 1e-8):
     if system.constraints.lagrange:
         raise ValueError("Lagrange rows present: use solve_constrained")
     K = system.matrix.tocsr()
-    fixed, fvals = system.constraints.dirichlet_dofs()
-    free = system.free_dofs()
+    fixed, fvals, free = system.split_dofs()
     Kff = K[free][:, free].tocsr()
     b = system.rhs[free].astype(float)
     if len(fixed):

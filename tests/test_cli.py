@@ -1,9 +1,15 @@
 """Driver behavior: config resolution, determinism, exit codes, outputs."""
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from platecap import cli
 from platecap.cli import (ConfigError, build_parser, main, parse_material,
                           resolve_config)
 from platecap.fem import SolverError
@@ -127,6 +133,14 @@ class TestConfigResolution:
         for bad in ("iso:1", "iso:-1,2", "steel", "file:/nope.json"):
             with pytest.raises(ConfigError):
                 parse_material(bad)
+
+    def test_parser_reused_without_carrying_values(self):
+        assert build_parser() is build_parser()
+        first = resolve(["run", "korn-sweep", "--h", "0.2", "--jobs", "2"])
+        second = resolve(["run", "korn-sweep"])
+        assert first.params["h"] == "0.2" and first.jobs == 2
+        assert second.params["h"] == "0.2,0.1,0.05,0.025"
+        assert second.jobs == 1
 
     def test_plan_is_sorted_json(self):
         cfg = resolve(["run", "fundsol-verify"])
@@ -408,3 +422,129 @@ class TestCapacityRuns:
         lines = trace.read_text().strip().split("\n")
         assert lines[0] == "rho,row1,row2,row3"
         assert len(lines) > 5
+
+
+# reads every loaded OpenBLAS pool's thread count, independently of the CLI
+COUNT_POOLS = """
+import ctypes, os
+def pool_counts():
+    counts = {}
+    for line in open("/proc/self/maps"):
+        f = line.split()
+        if len(f) != 6 or "openblas" not in os.path.basename(f[5]):
+            continue
+        lib = ctypes.CDLL(f[5], mode=os.RTLD_NOLOAD)
+        for name in ("scipy_openblas_get_num_threads",
+                     "scipy_openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                counts[f[5]] = getattr(lib, name)()
+                break
+    return counts
+"""
+
+
+@pytest.fixture
+def pools_at_two():
+    """Every OpenBLAS pool on two threads for the test, then as before."""
+    pools = cli._openblas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS library loaded")
+    old = [get() for _, get in pools]
+    for setter, _ in pools:
+        setter(2)
+    yield pools
+    for (setter, _), n in zip(pools, old):
+        setter(n)
+
+
+def thread_counts(pools):
+    return [get() for _, get in pools]
+
+
+class TestBlasThreads:
+    HARDY = ["run", "hardy", "--variant", "2.15", "--samples", "5",
+             "--grid", "64"]
+
+    def _record_runner(self, monkeypatch, pools, error=None):
+        seen = []
+
+        def runner(cfg):
+            seen.append(thread_counts(pools))
+            if error is not None:
+                raise error
+            return {cfg.output: "x\n"}, []
+
+        monkeypatch.setitem(cli.RUNNERS, "hardy", runner)
+        return seen
+
+    def test_one_thread_inside_run(self, tmp_path, monkeypatch,
+                                   pools_at_two):
+        seen = self._record_runner(monkeypatch, pools_at_two)
+        assert run_cli(self.HARDY + ["-o", str(tmp_path / "h.csv")]) == 0
+        assert seen == [[1] * len(pools_at_two)]
+        assert thread_counts(pools_at_two) == [2] * len(pools_at_two)
+
+    @pytest.mark.parametrize("flags, error, rc", [
+        ([], None, 0),
+        (["--grid", "4"], None, 2),
+        ([], SolverError("factorization failed"), 1),
+    ])
+    def test_counts_restored_on_exit(self, tmp_path, monkeypatch, capsys,
+                                     pools_at_two, flags, error, rc):
+        self._record_runner(monkeypatch, pools_at_two, error)
+        out = tmp_path / "h.csv"
+        assert run_cli(self.HARDY + flags + ["-o", str(out)]) == rc
+        assert thread_counts(pools_at_two) == [2] * len(pools_at_two)
+        assert out.exists() == (rc == 0)
+
+    def test_counts_restored_when_run_raises(self, tmp_path, monkeypatch,
+                                             pools_at_two):
+        self._record_runner(monkeypatch, pools_at_two,
+                            RuntimeError("unexpected"))
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run_cli(self.HARDY + ["-o", str(tmp_path / "h.csv")])
+        assert thread_counts(pools_at_two) == [2] * len(pools_at_two)
+
+    def test_import_changes_no_pool(self):
+        script = COUNT_POOLS + (
+            "import json, numpy, scipy.sparse.linalg\n"
+            "before = pool_counts()\n"
+            "from platecap import cli\n"
+            "print(json.dumps([before, pool_counts(),"
+            " cli._openblas_pools.cache_info().currsize == 0]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        before, after, undiscovered = json.loads(done.stdout)
+        if not before:
+            pytest.skip("no OpenBLAS library loaded")
+        assert after == before
+        assert undiscovered
+
+    def test_no_pool_found_same_output(self, tmp_path, monkeypatch):
+        argv = ["run", "korn-sweep", "--h", "0.2", "--mode", "supports",
+                "--variant", "free-edge", "--resolution", "2", "--nz", "2"]
+        out = tmp_path / "k.csv"
+        assert run_cli(argv + ["-o", str(out)]) == 0
+        monkeypatch.setattr(cli, "_openblas_pools", lambda: ())
+        bare = tmp_path / "bare.csv"
+        assert run_cli(argv + ["-o", str(bare)]) == 0
+        assert bare.read_bytes() == out.read_bytes()
+
+    def test_info_line_once_per_process(self, tmp_path, caplog):
+        cli._openblas_pools.cache_clear()
+        caplog.set_level(logging.INFO, logger="platecap")
+        for name in ("a.csv", "b.csv"):
+            assert run_cli(self.HARDY + ["-o", str(tmp_path / name)]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("blas: ")]
+        assert len(lines) == 1
+        pools = cli._openblas_pools()
+        if pools:
+            assert lines[0].startswith(
+                f"blas: {len(pools)} OpenBLAS pools at 1 thread (were ")
+        else:
+            assert lines[0].startswith("blas: no OpenBLAS pool found")

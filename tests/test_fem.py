@@ -417,6 +417,32 @@ class TestConstrained:
         assert np.array_equal(free, np.setdiff1d(np.arange(sysm.n), fixed))
         assert top * 3 + 2 in free and top * 3 not in free
 
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    def test_dirichlet_dofs_order_of_sorted_items(self, ncomp):
+        # the order of sorting the items by dof, as dirichlet_dofs once did
+        rng = np.random.default_rng(ncomp)
+        for size in (1, 7, 200):
+            cs = ConstraintSet(ncomp=ncomp)
+            for n, c in zip(rng.integers(0, 100, size),
+                            rng.integers(0, ncomp, size)):
+                cs.dirichlet[(int(n), int(c))] = float(rng.normal())
+            items = sorted(cs.dirichlet.items(),
+                           key=lambda kv: kv[0][0] * ncomp + kv[0][1])
+            dofs, vals = cs.dirichlet_dofs()
+            assert dofs.tolist() == [n * ncomp + c for (n, c), _ in items]
+            assert vals.tolist() == [v for _, v in items]
+            assert dofs.dtype == np.int64 and vals.dtype == np.float64
+
+    def test_split_dofs_matches_dirichlet_and_free(self):
+        g, sysm = self._clamped_system()
+        sysm.constraints.fix(int(g.face_nodes(2, 1)[0]), 1, 0.5)
+        fixed, vals, free = sysm.split_dofs()
+        want_fixed, want_vals = sysm.constraints.dirichlet_dofs()
+        assert np.array_equal(fixed, want_fixed)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(np.sort(np.concatenate([fixed, free])),
+                              np.arange(sysm.n))
+
     def test_duplicate_of_dirichlet_gets_zero_multiplier(self):
         g, sysm = self._clamped_system()
         node = int(g.face_nodes(2, 0)[0])

@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from platecap import layer
-from platecap.elastic import (full_operator, isotropic_stiffness,
-                              rigid_motion_matrix)
+from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
 from platecap.fem import MeshError, SolverError, StructuredGrid
 from platecap.fundamental import construct_fundamental, PhiSharp
 from platecap.inequalities import ContractError
-from platecap.layer import (CLOSURES, CapacityMatrix, ExtractionError,
-                            FarFieldExpansion, LayerMesh, capacity_json,
-                            decay_csv, extract_capacity, fit_rigid,
-                            grid_interpolate, layer_mesh,
+from platecap.layer import (CLOSURES, ExtractionError, FarFieldExpansion,
+                            capacity_json, decay_csv, extract_capacity,
+                            fit_rigid, grid_interpolate, layer_mesh,
                             manufactured_solution, rigid_sharp,
                             solve_layer_problem, strain_energy,
                             symmetry_and_decay_report, v01_norm)
