@@ -96,15 +96,6 @@ def reduced_stiffness(A: np.ndarray) -> np.ndarray:
     return Ayy - Ayz @ np.linalg.solve(Azz, Azy)
 
 
-def block_stiffness(A0: np.ndarray) -> np.ndarray:
-    """Block-diagonal 6x6 matrix diag{A0, A0/6} used by the plate energies."""
-    A0 = np.asarray(A0, dtype=float)
-    out = np.zeros((6, 6))
-    out[:3, :3] = A0
-    out[3:, 3:] = A0 / 6.0
-    return out
-
-
 def lame_reduced(lam: float, mu: float) -> float:
     """The reduced in-plane coupling modulus 2*lam*mu/(lam + 2*mu)."""
     return 2.0 * lam * mu / (lam + 2.0 * mu)
@@ -186,35 +177,6 @@ def strain_of_polyfield(u: PolyField, zeta_axis: int = 2):
         (d3[1] + d2[2]) * s,
         d3[2],
     ]
-
-
-def apply_strain_operator(u, coords=None):
-    """Strain column field of a displacement.
-
-    PolyField input -> exact 6-list of Poly.  Grid input: u has shape
-    (3, n1, n2, n3) sampled on the tensor grid given by coords (three strictly
-    increasing coordinate arrays); central differences, so every axis needs at
-    least 3 nodes.  Returns shape (6, n1, n2, n3).
-    """
-    if isinstance(u, PolyField):
-        return strain_of_polyfield(u)
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 4 or u.shape[0] != 3:
-        raise ValueError("grid displacement must have shape (3, n1, n2, n3)")
-    if coords is None:
-        raise ValueError("grid input needs coords=(x1, x2, x3)")
-    if any(len(c) < 3 for c in coords):
-        raise ValueError("central differences need >= 3 nodes per axis")
-    g = [np.gradient(u[i], *coords, edge_order=2) for i in range(3)]
-    s = 2.0 ** -0.5
-    eps = np.empty((6,) + u.shape[1:])
-    eps[0] = g[0][0]
-    eps[1] = g[1][1]
-    eps[2] = s * (g[0][1] + g[1][0])
-    eps[3] = s * (g[0][2] + g[2][0])
-    eps[4] = s * (g[1][2] + g[2][1])
-    eps[5] = g[2][2]
-    return eps
 
 
 def rigid_motion_matrix(xi) -> np.ndarray:

@@ -688,9 +688,3 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
     vec = np.zeros(K_system.n)
     vec[free] = x
     return lam, vec, res
-
-
-def dump_matrix_market(path: str, matrix: sp.spmatrix) -> None:
-    from scipy.io import mmwrite
-
-    mmwrite(path, matrix.tocoo())

@@ -23,7 +23,6 @@ construction.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -500,19 +499,3 @@ def normalize_membrane(mem: FundamentalMembrane, A0,
             psi[i, j, 0] += C[i, j]
     return FundamentalMembrane(Psi=mem.Psi.copy(), psi=psi, n=n,
                                normalized=True)
-
-
-def angular_csv(mem: FundamentalMembrane, bend: FundamentalBending) -> str:
-    """Angular profiles for inspection: phi, psi' entries, ln-coefficient
-    and plain part of the bending solution."""
-    n = mem.n
-    phi = TWO_PI * np.arange(n) / n
-    cols = [_samples(mem.psi[i, j]) for i in range(2) for j in range(2)]
-    cols.append(_samples(bend.log_coeff))
-    cols.append(_samples(bend.psi3))
-    buf = io.StringIO()
-    buf.write("phi,psi11,psi12,psi21,psi22,log3,psi3\n")
-    for k in range(n):
-        row = ",".join(f"{c[k]:.12g}" for c in cols)
-        buf.write(f"{phi[k]:.12g},{row}\n")
-    return buf.getvalue()

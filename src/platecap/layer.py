@@ -24,30 +24,29 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyadd as _polyadd
 from numpy.polynomial.polynomial import polyval as _polyval
 
-from .elastic import (full_operator, layer_operator_parts,
-                      rigid_motion_matrix)
-from .fem import (ConstraintSet, EliminationSolver, MeshError, SolverError,
-                  StructuredGrid, assemble_elastic, assemble_load,
-                  assemble_pointwise_form, solve_cg)
+from .elastic import rigid_motion_matrix
+from .fem import (ConstraintSet, EliminationSolver, MeshError,
+                  StructuredGrid, assemble_elastic, assemble_pointwise_form)
 from .fundamental import PhiSharp, verify_contour_identities
 from .inequalities import ContractError, cutoff
-from .polyfield import Poly, PolyField, mat_to_float
+from .polyfield import mat_to_float
 from .reduction import AnsatzOperators
+
+# perfbench/tracing.py wraps these names here; nothing in this module calls them
+from .elastic import full_operator, layer_operator_parts  # noqa: F401
+from .fem import assemble_load, solve_cg  # noqa: F401
 
 __all__ = [
     "LayerMesh", "layer_mesh", "rigid_sharp", "grid_interpolate",
-    "solve_layer_problem", "v01_norm", "strain_energy",
-    "ManufacturedSolution", "manufactured_solution", "FarFieldExpansion",
-    "FitResult", "fit_rigid", "ExtractionError", "CapacityMatrix",
-    "PotentialSolution", "CLOSURES", "check_matching_window",
-    "extract_capacity", "DecayReport",
+    "v01_norm", "FarFieldExpansion", "FitResult", "ExtractionError",
+    "CapacityMatrix", "PotentialSolution", "CLOSURES",
+    "check_matching_window", "extract_capacity", "DecayReport",
     "symmetry_and_decay_report", "capacity_json", "decay_csv",
 ]
 
@@ -271,76 +270,8 @@ def grid_interpolate(grid: StructuredGrid, values: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the truncated layer problem
+# weighted norm
 # ---------------------------------------------------------------------------
-
-def _fix_nodes_with(cons: ConstraintSet, node_ids: np.ndarray, data,
-                    nodes: np.ndarray):
-    if data is None:
-        cons.fix_nodes(node_ids, value=0.0)
-        return
-    vals = data(nodes[node_ids]) if callable(data) else np.asarray(data)
-    vals = np.asarray(vals, dtype=float).reshape(len(node_ids), 3)
-    for n, row in zip(node_ids, vals):
-        for c in range(3):
-            cons.fix(int(n), c, float(row[c]))
-
-
-def _face_load(grid: StructuredGrid, side: int, g) -> np.ndarray:
-    """Consistent load of a traction g(eta)->(n,3) on the bottom (side=0)
-    or top (side=1) face."""
-    plane = StructuredGrid(grid.axes[:2])
-    load2 = assemble_load(plane, g, ncomp=3)
-    ids = grid.face_nodes(2, side)
-    out = np.zeros(grid.n_nodes * 3)
-    dofs = (ids[:, None] * 3 + np.arange(3)[None, :]).ravel()
-    out[dofs] = load2
-    return out
-
-
-def solve_layer_problem(mesh: LayerMesh, A, body_force=None,
-                        traction_top=None, traction_bottom=None, *,
-                        outer_closure: str = "dirichlet", theta_data=None,
-                        outer_data=None, tol: float = 1e-9):
-    """Clamped-patch layer problem on the truncated box.
-
-    Zero (or supplied) displacement on the patch, natural conditions on both
-    horizontal faces, and either zero/supplied Dirichlet data on the outer
-    walls (default) or a free outer boundary.  body_force maps points (n,3)
-    to (n,3); the tractions map in-plane points (n,2) to (n,3).  Returns
-    (values (n_nodes,3), solve report); the linear solve is conjugate
-    gradients reduced to the free unknowns.
-    """
-    grid = mesh.grid
-    nodes = grid.nodes()
-    cons = ConstraintSet(ncomp=3)
-    _fix_nodes_with(cons, mesh.theta_nodes, theta_data, nodes)
-    if outer_closure == "dirichlet":
-        _fix_nodes_with(cons, mesh.outer_nodes, outer_data, nodes)
-    elif outer_closure != "free":
-        raise ValueError(f"unknown outer closure {outer_closure!r}")
-    if not cons.dirichlet:
-        raise SolverError("singular system: nothing pins the rigid motions "
-                          "(empty patch with a free outer boundary)")
-    system = assemble_elastic(grid, A, cons)
-    rhs = np.zeros(3 * grid.n_nodes)
-    if body_force is not None:
-        rhs += assemble_load(grid, body_force, ncomp=3)
-    if traction_top is not None:
-        rhs += _face_load(grid, 1, traction_top)
-    if traction_bottom is not None:
-        rhs += _face_load(grid, 0, traction_bottom)
-    system.rhs = rhs
-    x, report = solve_cg(system, tol=tol)
-    return x.reshape(-1, 3), report
-
-
-def strain_energy(mesh: LayerMesh, A, values: np.ndarray) -> float:
-    """Value of the strain form (A strain(u), strain(u)) on the box."""
-    system = assemble_elastic(mesh.grid, A, None)
-    x = np.asarray(values, dtype=float).ravel()
-    return float(x @ (system.matrix @ x))
-
 
 def v01_norm(mesh: LayerMesh, values: np.ndarray) -> float:
     """Weighted diagnostic norm that the clamped layer controls by energy.
@@ -368,108 +299,6 @@ def v01_norm(mesh: LayerMesh, values: np.ndarray) -> float:
     M = assemble_pointwise_form(grid, W)
     x = np.asarray(values, dtype=float).ravel()
     return float(math.sqrt(max(x @ (M @ x), 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# manufactured compactly supported solution
-# ---------------------------------------------------------------------------
-
-def _poly_terms(p: Poly):
-    if not p.terms:
-        return np.zeros((0, 3), dtype=int), np.zeros(0)
-    exps = np.array(list(p.terms.keys()), dtype=int)
-    coeffs = np.array([float(v) for v in p.terms.values()])
-    return exps, coeffs
-
-
-def _field_evaluator(pf: PolyField, box):
-    parts = [_poly_terms(c) for c in pf.u]
-    x0, x1, y0, y1 = box
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[1] == 2:
-            pts = np.column_stack([pts, np.zeros(len(pts))])
-        out = np.zeros((len(pts), 3))
-        inside = ((pts[:, 0] >= x0) & (pts[:, 0] <= x1)
-                  & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
-        sub = pts[inside]
-        for lo in range(0, len(sub), 4096):
-            chunk = sub[lo:lo + 4096]
-            vals = np.empty((len(chunk), 3))
-            for i, (exps, coeffs) in enumerate(parts):
-                if len(coeffs) == 0:
-                    vals[:, i] = 0.0
-                else:
-                    mono = (chunk[:, None, :] ** exps[None, :, :]).prod(axis=2)
-                    vals[:, i] = mono @ coeffs
-            rows = np.flatnonzero(inside)[lo:lo + 4096]
-            out[rows] = vals
-        return out
-
-    return evaluate
-
-
-@dataclass(frozen=True, eq=False)
-class ManufacturedSolution:
-    """Compactly supported smooth field with its exact interior and face
-    data; the displacement vanishes outside the support box, so it is an
-    exact solution of the truncated problem whenever the box avoids the
-    clamped patch and the outer walls."""
-
-    field_poly: PolyField
-    force_poly: PolyField
-    traction_top_poly: PolyField
-    traction_bottom_poly: PolyField
-    box: tuple
-    displacement: Callable = field(repr=False, default=None)
-    body_force: Callable = field(repr=False, default=None)
-    traction_top: Callable = field(repr=False, default=None)
-    traction_bottom: Callable = field(repr=False, default=None)
-
-
-def _interval_bump(axis: int, center: Fraction, width: Fraction) -> Poly:
-    """(1-((t-c)/w)^2)^4: quadruple zeros glue the polynomial to the zero
-    extension with three continuous derivatives."""
-    u = (Poly.var(axis) - Poly.const(center)) * Poly.const(1 / width)
-    b = Poly.const(1) - u * u
-    b2 = b * b
-    return b2 * b2
-
-
-def manufactured_solution(A, center=(Fraction(39, 20), 0),
-                          half_width=(Fraction(17, 20), Fraction(17, 20)),
-                          amplitudes=(1, Fraction(4, 5), Fraction(3, 5))
-                          ) -> ManufacturedSolution:
-    """Bump-profile displacement with exact body force and face tractions.
-
-    The in-plane profile is a product of quartic bumps supported on the box
-    center +- half_width; each component carries a different quadratic
-    thickness profile so both face tractions are nonzero.
-    """
-    cx, cy = (Fraction(c) for c in center)
-    wx, wy = (Fraction(w) for w in half_width)
-    bump = _interval_bump(0, cx, wx) * _interval_bump(1, cy, wy)
-    z = Poly.var(2)
-    profiles = (Poly.const(Fraction(1, 2)) + z - z * z,
-                Poly.const(1) - z * Poly.const(Fraction(1, 2)),
-                Poly.const(Fraction(3, 4)) + z * z + z * Poly.const(Fraction(1, 3)))
-    comps = [bump * q * Poly.const(Fraction(a))
-             for q, a in zip(profiles, amplitudes)]
-    v = PolyField(comps)
-    force = full_operator(A, v)
-    g_top = (layer_operator_parts(A, v, "N0+")
-             + layer_operator_parts(A, v, "N1+")).subs_zeta(Fraction(1, 2))
-    g_bot = (layer_operator_parts(A, v, "N0-")
-             + layer_operator_parts(A, v, "N1-")).subs_zeta(Fraction(-1, 2))
-    box = (float(cx - wx), float(cx + wx), float(cy - wy), float(cy + wy))
-    return ManufacturedSolution(
-        field_poly=v, force_poly=force, traction_top_poly=g_top,
-        traction_bottom_poly=g_bot, box=box,
-        displacement=_field_evaluator(v, box),
-        body_force=_field_evaluator(force, box),
-        traction_top=_field_evaluator(g_top, box),
-        traction_bottom=_field_evaluator(g_bot, box))
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +568,6 @@ class _AnnulusFitter:
         """Weighted rms over the annulus of samples (nq,3)."""
         return math.sqrt(max((self.weights * (samples ** 2).sum(1)).sum()
                              / self.total, 0.0))
-
-
-def fit_rigid(mesh: LayerMesh, values: np.ndarray) -> FitResult:
-    """Least-squares rigid coefficients of a nodal field on the matching
-    annulus (no far-field template subtracted)."""
-    fitter = _AnnulusFitter(mesh)
-    return fitter.fit_samples(fitter.interpolate(values))
 
 
 def _correction_carriers(points: np.ndarray, D: np.ndarray):

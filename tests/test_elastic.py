@@ -7,8 +7,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from platecap.elastic import (InvalidMaterial, apply_strain_operator,
-                              block_stiffness, check_stiffness, full_operator,
+from platecap.elastic import (InvalidMaterial, check_stiffness, full_operator,
                               isotropic_stiffness, isotropic_stiffness_exact,
                               lame_reduced, lame_reduced_exact,
                               layer_operator_parts, material_from_json,
@@ -84,11 +83,6 @@ class TestReducedStiffness:
         lamp = lame_reduced_exact(lam, mu)
         assert A0e[0][0] == lamp + 2 * mu and A0e[0][1] == lamp
 
-    def test_block_stiffness(self):
-        A0 = np.diag([1.0, 2.0, 3.0])
-        B = block_stiffness(A0)
-        assert B[0, 0] == 1.0 and B[3, 3] == 1.0 / 6.0 and B[5, 5] == 0.5
-
 
 class TestMaterialParsing:
     def test_isotropic_dict_and_json(self):
@@ -146,30 +140,6 @@ class TestStrain:
         expect = rigid_motion_matrix(xi) @ np.array([float(x) for x in c])
         got = u.eval(*xi)
         assert np.allclose([float(g) for g in got], expect, atol=1e-12)
-
-    def test_grid_strain_matches_exact_for_affine(self):
-        # central differences are exact on affine fields
-        grids = (np.linspace(0, 1, 4), np.linspace(-1, 1, 5),
-                 np.linspace(0, 2, 3))
-        X = np.meshgrid(*grids, indexing="ij")
-        u = np.stack([2 * X[0] + X[2], X[1] - X[0], 0.5 * X[2] + X[1]])
-        eps = apply_strain_operator(u, coords=grids)
-        s = 2.0 ** -0.5
-        assert np.allclose(eps[0], 2.0) and np.allclose(eps[1], 1.0)
-        assert np.allclose(eps[2], s * (0.0 - 1.0))
-        assert np.allclose(eps[3], s * 1.0)
-        assert np.allclose(eps[4], s * 1.0)
-        assert np.allclose(eps[5], 0.5)
-
-    def test_grid_strain_errors(self):
-        with pytest.raises(ValueError):
-            apply_strain_operator(np.zeros((2, 3, 3, 3)), coords=None)
-        with pytest.raises(ValueError):
-            apply_strain_operator(np.zeros((3, 3, 3, 3)))
-        with pytest.raises(ValueError):
-            apply_strain_operator(
-                np.zeros((3, 2, 3, 3)),
-                coords=(np.arange(2.0), np.arange(3.0), np.arange(3.0)))
 
 
 class TestOperatorSplit:

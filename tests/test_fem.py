@@ -12,9 +12,8 @@ from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           SolverError, SparseSystem, StructuredGrid,
                           _ref_quadrature, _shape_gradients, _shape_values,
                           apply_mass, assemble_elastic, assemble_load,
-                          assemble_pointwise_form, dump_matrix_market,
-                          nested_dissection, smallest_eigenpair, solve_cg,
-                          solve_constrained)
+                          assemble_pointwise_form, nested_dissection,
+                          smallest_eigenpair, solve_cg, solve_constrained)
 from platecap.kirchhoff import PlateDomain, bending_system
 
 I6 = np.eye(6)
@@ -688,14 +687,3 @@ class TestNestedDissection:
         for j in range(5):
             x = solver.solve(fixed_values=data[:, j])
             assert np.abs(X[:, j] - x).max() <= 1e-12 * np.abs(x).max()
-
-
-class TestDump:
-    def test_matrix_market_round_trip(self, tmp_path):
-        from scipy.io import mmread
-
-        K = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        path = str(tmp_path / "k.mtx")
-        dump_matrix_market(path, K)
-        K2 = mmread(path).toarray()
-        assert np.allclose(K2, K.toarray())

@@ -7,9 +7,8 @@ import pytest
 
 from platecap.elastic import (InvalidMaterial, isotropic_stiffness,
                               reduced_stiffness)
-from platecap.fundamental import (ConstructionError, FundamentalBending,
-                                  LogField, PhiSharp, SingularityError,
-                                  angular_csv, construct_fundamental,
+from platecap.fundamental import (ConstructionError, PhiSharp,
+                                  SingularityError, construct_fundamental,
                                   eval_isotropic_fundamentals,
                                   normalize_membrane,
                                   verify_contour_identities)
@@ -244,15 +243,6 @@ class TestAssemblyAndOutput:
         g1, g2 = bend.gradient()
         assert M[2, 2] == pytest.approx(-g2.eval(y)[0])
         assert M[2, 3] == pytest.approx(g1.eval(y)[0])
-
-    def test_angular_csv(self):
-        mem, bend = construct_fundamental(A0_ORTH, 64)
-        text = angular_csv(mem, bend)
-        lines = text.strip().split("\n")
-        assert lines[0] == "phi,psi11,psi12,psi21,psi22,log3,psi3"
-        assert len(lines) == 65
-        row = [float(x) for x in lines[1].split(",")]
-        assert len(row) == 7 and all(np.isfinite(row))
 
     def test_logfield_origin_rejected(self):
         mem, _ = construct_fundamental(A0_ISO, 64)

@@ -8,8 +8,7 @@ import scipy.linalg as sla
 from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
 from platecap.fem import EliminationSolver, MeshError
 from platecap.inequalities import (NORM_VARIANTS, Box, ContractError,
-                                   KornEstimate, SupportCylinder,
-                                   SupportLayout, WeightSpec,
+                                   SupportCylinder, SupportLayout, WeightSpec,
                                    boundary_distance, cutoff, cutoff_slope,
                                    gram_matrix, hardy_constant, hardy_ratio,
                                    korn_constant, korn_csv, korn_system,

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from platecap.elastic import (isotropic_stiffness, isotropic_stiffness_exact,
                               reduced_stiffness, reduced_stiffness_exact)
 from platecap.fem import ConstraintSet, SolverError, assemble_elastic
-from platecap.kirchhoff import (DomainError, KirchhoffSolution, Load,
+from platecap.kirchhoff import (DomainError, KirchhoffSolution,
                                 PlateDomain, bending_system,
                                 bending_table_float, load_from_spec,
                                 manufactured_bending, manufactured_membrane,

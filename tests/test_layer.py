@@ -1,22 +1,26 @@
-"""Truncated layer: mesh, solver, far-field template, capacity extraction."""
+"""Truncated layer: mesh, solves on the clamped box, weighted norm, far-field
+template, capacity extraction."""
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from platecap import layer
-from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
-from platecap.fem import MeshError, SolverError, StructuredGrid
+from platecap.elastic import (full_operator, isotropic_stiffness,
+                              layer_operator_parts, rigid_motion_matrix)
+from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
+                          StructuredGrid, assemble_elastic, assemble_load,
+                          solve_cg)
 from platecap.fundamental import construct_fundamental, PhiSharp
 from platecap.inequalities import ContractError
 from platecap.layer import (CLOSURES, ExtractionError, FarFieldExpansion,
                             capacity_json, decay_csv, extract_capacity,
-                            fit_rigid, grid_interpolate, layer_mesh,
-                            manufactured_solution, rigid_sharp,
-                            solve_layer_problem, strain_energy,
+                            grid_interpolate, layer_mesh, rigid_sharp,
                             symmetry_and_decay_report, v01_norm)
+from platecap.polyfield import Poly, PolyField
 from platecap.reduction import build_dimension_reduction
 
 A1 = isotropic_stiffness(1.0, 1.0)
@@ -194,65 +198,124 @@ class TestInterpolation:
         assert np.array_equal(fitter.interpolate(vals), ref)
 
 
+def _bump_field(A):
+    """Compactly supported test field with its exact loads.
+
+    The displacement is a product of quartic bumps (1 - ((t-c)/w)^2)^4 on
+    the box (1.1, 2.8) x (-0.85, 0.85), so it meets its zero extension with
+    three continuous derivatives; each component carries its own quadratic
+    thickness profile so both face tractions are nonzero.  Returns
+    evaluators of points (n, 2 or 3) -> (n, 3) for the displacement, the
+    body force and the top and bottom face tractions."""
+    def bump(axis, c, w):
+        u = (Poly.var(axis) - Poly.const(c)) * Poly.const(1 / w)
+        b = Poly.const(1) - u * u
+        return (b * b) * (b * b)
+
+    cx, w = Fraction(39, 20), Fraction(17, 20)
+    z = Poly.var(2)
+    profiles = (Poly.const(Fraction(1, 2)) + z - z * z,
+                Poly.const(1) - z * Poly.const(Fraction(1, 2)),
+                Poly.const(Fraction(3, 4)) + z * z
+                + z * Poly.const(Fraction(1, 3)))
+    amplitudes = (1, Fraction(4, 5), Fraction(3, 5))
+    profile = bump(0, cx, w) * bump(1, Fraction(0), w)
+    v = PolyField([profile * q * Poly.const(a)
+                   for q, a in zip(profiles, amplitudes)])
+
+    def face(side, zeta):
+        return (layer_operator_parts(A, v, "N0" + side)
+                + layer_operator_parts(A, v, "N1" + side)).subs_zeta(zeta)
+
+    x0, x1, y0, y1 = float(cx - w), float(cx + w), float(-w), float(w)
+
+    def evaluator(pf):
+        terms = [(np.array(list(p.terms), dtype=int).reshape(-1, 3),
+                  np.array([float(c) for c in p.terms.values()]))
+                 for p in pf]
+
+        def evaluate(points):
+            pts = (points if points.shape[1] == 3
+                   else np.column_stack([points, np.zeros(len(points))]))
+            inside = ((pts[:, 0] >= x0) & (pts[:, 0] <= x1)
+                      & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
+            sub = pts[inside]
+            out = np.zeros((len(pts), 3))
+            for i, (exps, coeffs) in enumerate(terms):
+                mono = (sub[:, None, :] ** exps).prod(axis=2)
+                out[inside, i] = mono @ coeffs
+            return out
+
+        return evaluate
+
+    return (evaluator(v), evaluator(full_operator(A, v)),
+            evaluator(face("+", Fraction(1, 2))),
+            evaluator(face("-", Fraction(-1, 2))))
+
+
+def _solve_bump(mesh, A, loads):
+    """Nodal solution (n_nodes, 3) and stiffness of the clamped box under
+    the body force and face tractions of _bump_field, with zero data on the
+    patch and the outer walls, by conjugate gradients."""
+    grid = mesh.grid
+    cons = ConstraintSet(ncomp=3)
+    cons.fix_nodes(mesh.theta_nodes)
+    cons.fix_nodes(mesh.outer_nodes)
+    system = assemble_elastic(grid, A, cons)
+    _, force, top, bottom = loads
+    system.rhs = assemble_load(grid, force, ncomp=3)
+    plane = StructuredGrid(grid.axes[:2])
+    for side, g in ((1, top), (0, bottom)):
+        face = np.zeros((grid.n_nodes, 3))
+        face[grid.face_nodes(2, side)] = assemble_load(
+            plane, g, ncomp=3).reshape(-1, 3)
+        system.rhs += face.ravel()
+    x, _ = solve_cg(system, tol=1e-9)
+    return x.reshape(-1, 3), system.matrix
+
+
 class TestSolveLayerProblem:
-    def test_zero_data_zero_solution(self):
-        m = layer_mesh(T=4.5, n_z=3, inner_step=0.5)
-        vals, rep = solve_layer_problem(m, A1)
-        assert np.abs(vals).max() == 0.0
-
-    def test_empty_patch_free_outer_is_singular(self):
-        m = layer_mesh(T=4.5, n_z=3, inner_step=0.5)
-        bare = dataclasses.replace(m, theta_nodes=np.empty(0, dtype=int))
-        with pytest.raises(SolverError):
-            solve_layer_problem(bare, A1, outer_closure="free")
-
-    def test_unknown_closure_rejected(self):
-        m = layer_mesh(T=4.5, n_z=3, inner_step=0.5)
-        with pytest.raises(ValueError):
-            solve_layer_problem(m, A1, outer_closure="robin")
-
     def test_rigid_data_reproduced_exactly(self):
         # rigid motions are exact trilinear fields: imposing one on patch
         # and walls must return it, and the annulus fit must recover c
         m = layer_mesh(T=4.5, n_z=3, inner_step=0.5)
         c = np.array([0.3, -0.2, 0.15, 0.4])
-        nodes = m.grid.nodes()
-        rig = np.einsum("qia,a->qi", rigid_sharp(nodes), c)
-        data = lambda p: np.einsum("qia,a->qi", rigid_sharp(p), c)
-        vals, rep = solve_layer_problem(m, A1, theta_data=data,
-                                        outer_data=data)
+        rig = np.einsum("qia,a->qi", rigid_sharp(m.grid.nodes()), c)
+        cons = ConstraintSet(ncomp=3)
+        for n in np.concatenate([m.theta_nodes, m.outer_nodes]):
+            for k in range(3):
+                cons.fix(n, k, rig[n, k])
+        system = assemble_elastic(m.grid, A1, cons)
+        vals = EliminationSolver(system).solve().reshape(-1, 3)
         assert np.abs(vals - rig).max() < 1e-7
-        fit = fit_rigid(m, vals)
+        fitter = layer._AnnulusFitter(m)
+        fit = fitter.fit_samples(fitter.interpolate(vals))
         assert np.abs(fit.c - c).max() < 1e-8
         assert fit.residual < 1e-8 and fit.spread.max() < 1e-8
 
-    def test_manufactured_solution_second_order(self, ops):
+    def test_manufactured_solution_second_order(self):
         # compact bump away from patch and walls; interior and face data
         # derived exactly from the displacement polynomials
-        ms = manufactured_solution(A1)
+        loads = _bump_field(A1)
         errs = []
         for step, nz in ((0.25, 3), (0.125, 6)):
             # uniform core out to 3.0 so the bump sits on unstretched cells
             m = layer_mesh(T=4.5, n_z=nz, inner_step=step, core_radius=3.0)
-            vals, rep = solve_layer_problem(
-                m, A1, body_force=ms.body_force, traction_top=ms.traction_top,
-                traction_bottom=ms.traction_bottom)
-            exact = ms.displacement(m.grid.nodes())
-            errs.append(np.abs(vals - exact).max())
+            vals, _ = _solve_bump(m, A1, loads)
+            errs.append(np.abs(vals - loads[0](m.grid.nodes())).max())
         assert errs[0] < 4.5e-2 and errs[1] < 1.3e-2
-        assert errs[0] / errs[1] > 3.0              # measured 3.47
+        assert errs[0] / errs[1] > 3.0              # measured 3.48
 
     def test_weighted_norm_controlled_by_energy(self):
         # the decaying-weight norm stays below the energy with a constant
         # that is stable when the box is doubled
-        ms = manufactured_solution(A1)
+        loads = _bump_field(A1)
         ratios = []
         for T in (4.5, 9.0):
             m = layer_mesh(T=T, n_z=3, inner_step=0.25, core_radius=3.0)
-            vals, _ = solve_layer_problem(
-                m, A1, body_force=ms.body_force, traction_top=ms.traction_top,
-                traction_bottom=ms.traction_bottom)
-            ratios.append(v01_norm(m, vals) ** 2 / strain_energy(m, A1, vals))
+            vals, K = _solve_bump(m, A1, loads)
+            x = vals.ravel()
+            ratios.append(v01_norm(m, vals) ** 2 / (x @ K @ x))
         assert ratios[0] < 1.0 and ratios[1] < 1.0
         assert abs(ratios[1] - ratios[0]) < 0.02 * ratios[0]
 

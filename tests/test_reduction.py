@@ -7,10 +7,10 @@ import pytest
 from platecap.cli import _random_rational_spd
 from platecap.elastic import (isotropic_stiffness, isotropic_stiffness_exact,
                               layer_operator_parts)
-from platecap.polyfield import INV_SQRT2, Poly, PolyField, Q2
-from platecap.reduction import (AnsatzOperators, ReductionError,
-                                apply_ansatz, apply_bending, apply_membrane,
-                                apply_operator_table, bending_table_direct,
+from platecap.polyfield import Poly, PolyField, Q2
+from platecap.reduction import (ReductionError, apply_ansatz, apply_bending,
+                                apply_membrane, apply_operator_table,
+                                bending_table_direct,
                                 build_dimension_reduction, dump_operators,
                                 load_operator_tables, membrane_table_direct,
                                 residual_report)
