@@ -46,9 +46,9 @@ from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         manufactured_membrane, operator_coefficients,
                         solution_csv, solve_bending, solve_membrane,
                         solve_plate)
-from .layer import (CLOSURES, ExtractionError, capacity_json,
-                    check_matching_window, decay_csv, extract_capacity,
-                    layer_mesh, symmetry_and_decay_report)
+from .layer import (ExtractionError, capacity_json, check_matching_window,
+                    decay_csv, extract_capacity, layer_mesh,
+                    symmetry_and_decay_report)
 from .polyfield import Poly, PolyField, Q2, mat_to_float
 from .reduction import (ReductionError, bending_table_direct,
                         build_dimension_reduction, membrane_table_direct,
@@ -84,8 +84,7 @@ DEFAULTS = {
                        "tol": 1e-6, "n_angular": 512},
     "ansatz-residual": {"degree": 6, "anisotropic_samples": 5},
     "capacity": {"material": "iso:1,1", "T": 8.0, "nz": 6,
-                 "inner_step": 0.25, "growth_cap": 1.15,
-                 "closure": "enriched", "theta": "disk",
+                 "inner_step": 0.25, "growth_cap": 1.15, "theta": "disk",
                  "annulus": "0.55,0.8", "decay_output": None},
 }
 
@@ -206,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="core grid spacing")
     sp.add_argument("--growth-cap", type=float, dest="growth_cap",
                     help="tail cell growth bound")
-    sp.add_argument("--closure", choices=tuple(CLOSURES))
     sp.add_argument("--theta", help="clamped patch: disk | disk:<radius>")
     sp.add_argument("--annulus", help="matching window 'a0,a1' in units "
                                       "of T")
@@ -446,8 +444,6 @@ def _validate_capacity(p: dict) -> None:
     p["growth_cap"] = _positive(p["growth_cap"], "growth_cap")
     if not p["growth_cap"] > 1.0:
         raise ConfigError("growth_cap must exceed 1")
-    if p["closure"] not in CLOSURES:
-        raise ConfigError(f"unknown closure {p['closure']!r}")
     theta = str(p["theta"])
     if theta != "disk" and not theta.startswith("disk:"):
         raise ConfigError(f"unknown theta spec {theta!r} "
@@ -683,7 +679,7 @@ def run_ansatz_residual(cfg: ExperimentConfig):
                 for j in range(3):
                     comps = [Poly.zero()] * 3
                     comps[j] = Poly.monomial(a, b, 0)
-                    rep = residual_report(ops, A, PolyField(comps))
+                    rep = residual_report(ops, PolyField(comps))
                     checked += 1
                     if not (rep.a15_ok and rep.a16_ok and rep.a17_ok):
                         bad.append([a, b, j])
@@ -707,8 +703,7 @@ def run_capacity(cfg: ExperimentConfig):
     phi = construct_fundamental(mat_to_float(ops.reduced), n_angular=64)
     mesh = _capacity_mesh(p)
     annulus = tuple(_float_list(p["annulus"], "annulus"))
-    cap, pot = extract_capacity(mesh, A, phi, ops, annulus=annulus,
-                                closure=p["closure"])
+    cap, pot = extract_capacity(mesh, A, phi, ops, annulus=annulus)
     log.info("capacity: defect %.4f, iterations %s, warning %s",
              cap.symmetry_defect, cap.iterations.tolist(), cap.warning)
     outputs = {cfg.output: capacity_json(cap)}

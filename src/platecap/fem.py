@@ -513,14 +513,12 @@ class EliminationSolver:
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}")
 
-    def solve(self, fixed_values: np.ndarray | None = None,
-              body_rhs: np.ndarray | None = None) -> np.ndarray:
+    def solve(self, fixed_values: np.ndarray | None = None) -> np.ndarray:
         """Full solution(s) for the given boundary values: (n,) for data
         (n_fixed,), (n, k) for a batch (n_fixed, k)."""
         fv = self.fixed_values if fixed_values is None else \
             np.asarray(fixed_values, dtype=float)
-        rhs = self.base_rhs if body_rhs is None else body_rhs
-        b = rhs[self.free].astype(float)
+        b = self.base_rhs[self.free].astype(float)
         if fv.ndim == 2:
             b = np.repeat(b[:, None], fv.shape[1], axis=1)
         if self.Kfc is not None:
@@ -656,13 +654,12 @@ def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):
     lambda its Rayleigh quotient.  Returns (lambda, u on all dofs, that
     residual).
     """
-    M = M_matrix.matrix if isinstance(M_matrix, SparseSystem) else M_matrix
     solver = EliminationSolver(K_system)
     free = solver.free
     if not len(free):
         raise SolverError("no free dofs")
     Kff = K_system.matrix.tocsr()[free][:, free]
-    Mff = M.tocsr()[free][:, free]
+    Mff = M_matrix.tocsr()[free][:, free]
     n = len(free)
     try:
         _, vecs = spla.eigsh(

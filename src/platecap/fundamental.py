@@ -286,8 +286,7 @@ def isotropic_reduced_parameters(A0, tol: float = 1e-12):
 
 
 def construct_fundamental(A0, n_angular: int = 1024,
-                          force_quadrature: bool = False,
-                          validate: bool = True):
+                          force_quadrature: bool = False):
     """Build (FundamentalMembrane, FundamentalBending) for a reduced
     stiffness, then check the defining contour identities."""
     A0 = np.asarray(A0, dtype=float)
@@ -300,12 +299,11 @@ def construct_fundamental(A0, n_angular: int = 1024,
     else:
         mem, bend = _quadrature_fundamental(A0, n)
     mem = normalize_membrane(mem, A0)
-    if validate:
-        report = verify_contour_identities((mem, bend), A0, 1.0)
-        if report.max_defect > 1e-6:
-            raise ConstructionError(
-                f"identity {report.worst!r} defect {report.max_defect:.3e}",
-                report)
+    report = verify_contour_identities((mem, bend), A0, 1.0)
+    if report.max_defect > 1e-6:
+        raise ConstructionError(
+            f"identity {report.worst!r} defect {report.max_defect:.3e}",
+            report)
     return mem, bend
 
 
@@ -482,15 +480,14 @@ def verify_contour_identities(fundamentals, A0, radius: float = 1.0,
                           biorthogonality=biorth, defects=defects)
 
 
-def normalize_membrane(mem: FundamentalMembrane, A0,
-                       radius: float = 1.0) -> FundamentalMembrane:
+def normalize_membrane(mem: FundamentalMembrane, A0) -> FundamentalMembrane:
     """Shift psi' by a constant matrix so the drift-corrected energy pairing
     vanishes.  The raw pairing slides by -ln(r) Psi' between contours;
-    adding that drift back gives a contour-independent matrix, so the
-    normalization does not depend on the quadrature radius."""
+    adding that drift back gives a contour-independent matrix, so the unit
+    circle serves as the quadrature contour."""
     n = mem.n
     theta = TWO_PI * np.arange(n) / n
-    _, T = _energy_pairing(mem, A0, float(radius), theta)
+    _, T = _energy_pairing(mem, A0, 1.0, theta)
     # shifting Phi' by C changes the pairing by C^T (-int N' Phi') = -C^T
     psi = mem.psi.copy()
     C = T.T

@@ -471,9 +471,7 @@ def _bump_slope(t):
     return out
 
 
-def optimality_witness(which: str, h: float, R: float = 1.0,
-                       centers=((0.6, 1.0), (1.4, 1.0)),
-                       n_radial: int = 4096, n_angular: int = 128):
+def optimality_witness(which: str, h: float, R: float = 1.0):
     """Energy and norm of an explicit displacement field, by quadrature.
 
     which = "log-weight": both in-plane components equal a smooth bump of
@@ -492,6 +490,7 @@ def optimality_witness(which: str, h: float, R: float = 1.0,
     strain energy ~ 1/|ln h| and the support-weighted squared norm of the
     in-plane displacement, which stays of order one.
     """
+    n_radial, n_angular = 4096, 128    # quadrature points per direction
     if which == "log-weight":
         if not 0.0 < h <= 0.25:
             raise ContractError("need 0 < h <= 1/4")
@@ -539,7 +538,7 @@ def optimality_witness(which: str, h: float, R: float = 1.0,
         rect = (2.0, 2.0)
         patch = 0.1
         lnh = abs(math.log(h))
-        cs = [np.asarray(c, dtype=float) for c in centers]
+        cs = [np.array([0.6, 1.0]), np.array([1.4, 1.0])]
 
         def ramp(rj):
             # distance-to-center profile: 0 inside R0*h, 1 outside R0*sqrt(h)

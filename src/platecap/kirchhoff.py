@@ -97,11 +97,10 @@ class PlateDomain:
 
 @dataclass
 class Load:
-    """Nodal load samples; the note records where the values came from."""
+    """Nodal load samples."""
 
     gprime: np.ndarray | None = None    # (n_nodes, 2)
     g3: np.ndarray | None = None        # (n_nodes,)
-    note: str = ""
 
 
 @dataclass
@@ -281,29 +280,25 @@ def load_from_spec(domain: PlateDomain, spec: str) -> Load:
     """CLI-facing load identifiers: 'constant', 'sine-bump', 'file:<csv>'."""
     pts = domain.grid.nodes()
     if spec == "constant":
-        return Load(gprime=np.ones((len(pts), 2)), g3=np.ones(len(pts)),
-                    note="constant unit load")
+        return Load(gprime=np.ones((len(pts), 2)), g3=np.ones(len(pts)))
     if spec == "sine-bump":
         sx = np.sin(np.pi * pts[:, 0] / domain.a)
         sy = np.sin(np.pi * pts[:, 1] / domain.b)
         bump = sx * sy
-        return Load(gprime=np.stack([bump, bump], axis=1), g3=bump,
-                    note="half-sine bump")
+        return Load(gprime=np.stack([bump, bump], axis=1), g3=bump)
     if spec.startswith("file:"):
         path = spec[5:]
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         if data.shape != (len(pts), 3):
             raise ValueError(
                 f"load file needs {len(pts)} rows of g1,g2,g3")
-        return Load(gprime=data[:, :2], g3=data[:, 2], note=f"file {path}")
+        return Load(gprime=data[:, :2], g3=data[:, 2])
     raise ValueError(f"unknown load spec {spec!r}")
 
 
-def solve_plate(domain: PlateDomain, A0, load: Load,
-                enforce_point: bool = True) -> KirchhoffSolution:
+def solve_plate(domain: PlateDomain, A0, load: Load) -> KirchhoffSolution:
     w1, w2, em = solve_membrane(domain, A0, load.gprime)
-    w3, mult, eb = solve_bending(domain, A0, load.g3,
-                                 enforce_point=enforce_point)
+    w3, mult, eb = solve_bending(domain, A0, load.g3)
     return KirchhoffSolution(w1=w1, w2=w2, w3=w3, multiplier=mult,
                              energy_membrane=em, energy_bending=eb)
 

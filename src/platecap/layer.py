@@ -10,11 +10,13 @@ with trilinear elements, and extracts the capacity by matching the discrete
 solution against the analytic far field on an interior annulus.
 
 The far-field template combines the plane fundamental matrices with the
-through-thickness ansatz operators.  The drift coefficients c solve an
-affine fixed-point equation c = fit(solve(outer data built from c)); solve,
-interpolation and fit are all linear, so the default driver measures the
-affine map directly (four extra solves with pure rigid outer data), closes
-the resulting 4x4 system, and finishes with literal fixed-point sweeps whose
+through-thickness ansatz operators.  The outer walls carry the template
+plus a closure: the four rigid columns and the first and second in-plane
+derivatives of the template columns, 21 fields in all.  Its coefficients
+solve an affine fixed-point equation x = fit(solve(outer data built from
+x)); solve, interpolation and fit are all linear, so the extraction
+measures the affine map directly (one solve per closure field), closes the
+resulting 21x21 system, and finishes with literal fixed-point sweeps whose
 recorded deltas certify the contraction.
 """
 
@@ -45,7 +47,7 @@ from .fem import assemble_load, solve_cg  # noqa: F401
 __all__ = [
     "LayerMesh", "layer_mesh", "rigid_sharp", "grid_interpolate",
     "v01_norm", "FarFieldExpansion", "FitResult", "ExtractionError",
-    "CapacityMatrix", "PotentialSolution", "CLOSURES",
+    "CapacityMatrix", "PotentialSolution",
     "check_matching_window", "extract_capacity", "DecayReport",
     "symmetry_and_decay_report", "capacity_json", "decay_csv",
 ]
@@ -140,17 +142,14 @@ class LayerMesh:
                           growth_cap=1.0 + 0.5 * (self.growth_cap - 1.0),
                           theta=self.theta_fn, R_theta=self.r_override)
 
-    def with_box(self, T: float, *, equal_tail_cells: bool = True
-                 ) -> "LayerMesh":
+    def with_box(self, T: float) -> "LayerMesh":
         """Same family on a box of half width T.
 
-        With equal_tail_cells the grading cap is rescaled so the cell width
-        in the matching annulus (which sits at radii proportional to T)
-        stays the one of this mesh; the comparison between the two boxes
-        then isolates the truncation effect."""
-        cap = self.growth_cap
-        if equal_tail_cells:
-            cap = 1.0 + (self.growth - 1.0) * self.T / float(T)
+        The grading cap is rescaled so the cell width in the matching
+        annulus (which sits at radii proportional to T) stays the one of
+        this mesh; the comparison between the two boxes then isolates the
+        truncation effect."""
+        cap = 1.0 + (self.growth - 1.0) * self.T / float(T)
         return layer_mesh(T=float(T), n_z=self.n_z,
                           inner_step=self.inner_step,
                           core_radius=self.core_radius, growth_cap=cap,
@@ -400,17 +399,13 @@ class FarFieldExpansion:
 
     # Columns 2 and 3 stem from one scalar kernel (via -d2 and +d1), so
     # mixed derivatives collide (d1 of column 2 is exactly -d2 of column 3
-    # and so on); the listings keep one representative per distinct field.
-    _DIPOLES = ((0, (1,)), (0, (2,)), (1, (1,)), (1, (2,)),
-                (2, (2,)), (3, (1,)), (3, (2,)))
-    _QUADRUPOLES = ((0, (1, 1)), (0, (1, 2)), (0, (2, 2)),
-                    (1, (1, 1)), (1, (1, 2)), (1, (2, 2)),
-                    (2, (2, 2)), (3, (1, 1)), (3, (1, 2)), (3, (2, 2)))
-
-    def dipole_basis(self, points: np.ndarray) -> np.ndarray:
-        """The linearly independent dipole fields stacked as (n,3,7)."""
-        return np.stack([self.eval_derivative(col, axes, points)
-                         for col, axes in self._DIPOLES], axis=2)
+    # and so on); the listing keeps one representative per distinct field,
+    # the 7 dipoles first, then the 10 quadrupoles.
+    _ENRICHMENT = ((0, (1,)), (0, (2,)), (1, (1,)), (1, (2,)),
+                   (2, (2,)), (3, (1,)), (3, (2,)),
+                   (0, (1, 1)), (0, (1, 2)), (0, (2, 2)),
+                   (1, (1, 1)), (1, (1, 2)), (1, (2, 2)),
+                   (2, (2, 2)), (3, (1, 1)), (3, (1, 2)), (3, (2, 2)))
 
     def enrichment_basis(self, points: np.ndarray) -> np.ndarray:
         """Dipole and quadrupole fields stacked as (n,3,17).
@@ -421,8 +416,7 @@ class FarFieldExpansion:
         bending members carry the log-growth vertical profile of the
         leading wall-truncated correction."""
         return np.stack([self.eval_derivative(col, axes, points)
-                         for col, axes in self._DIPOLES + self._QUADRUPOLES],
-                        axis=2)
+                         for col, axes in self._ENRICHMENT], axis=2)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -432,6 +426,20 @@ class FarFieldExpansion:
 # ---------------------------------------------------------------------------
 # annulus fit
 # ---------------------------------------------------------------------------
+
+# The annulus quadrature has _N_ANGULAR angles and _N_RADIAL shells; 6 shells
+# make the fit's three radial sub-bands two shells each.  The decay report
+# cuts the template off at _CHI_SCALE patch radii.
+_N_ANGULAR = 48
+_N_RADIAL = 6
+_CHI_SCALE = 2.0
+# Literal sweeps after the closure jump stop once the coefficient update is
+# below _SWEEP_TOL, or after _MAX_SWEEPS iterations in all; a column whose
+# fit residual exceeds _RESIDUAL_WARN times its drift scale is flagged.
+_SWEEP_TOL = 1e-6
+_MAX_SWEEPS = 20
+_RESIDUAL_WARN = 0.25
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -488,7 +496,8 @@ class _AnnulusFitter:
     mesh nodes it reads."""
 
     def __init__(self, mesh: LayerMesh, annulus=(0.55, 0.8),
-                 n_angular: int = 48, n_radial: int = 6, extra=None):
+                 n_angular: int = _N_ANGULAR, n_radial: int = _N_RADIAL,
+                 extra=None):
         a0, a1 = annulus
         _check_annulus(a0, a1)
         nt = mesh.n_z
@@ -621,7 +630,6 @@ class CapacityMatrix:
     theta_spec: str
     material: np.ndarray          # 6x6 stiffness
     annulus: tuple
-    closure: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -634,44 +642,26 @@ class PotentialSolution:
     c: np.ndarray                 # (4,4) converged drift coefficients
     x: np.ndarray                 # (m,4) full closure coefficients
     expansion: FarFieldExpansion
-    chi_scale: float
     band_residuals: np.ndarray    # (4, 3) final misfit per fit sub-band
 
 
-# Literal sweeps after the closure jump stop once the coefficient update is
-# below _SWEEP_TOL, or after _MAX_SWEEPS iterations in all; a column whose
-# fit residual exceeds _RESIDUAL_WARN times its drift scale is flagged.
-_SWEEP_TOL = 1e-6
-_MAX_SWEEPS = 20
-_RESIDUAL_WARN = 0.25
-
-# closure name -> FarFieldExpansion method giving the extra correction
-# fields appended to the four rigid columns (None: rigid columns alone)
-CLOSURES = {"enriched": "enrichment_basis", "dipole": "dipole_basis",
-            "plain": None}
-
-
-def check_matching_window(mesh: LayerMesh, annulus,
-                          chi_scale: float = 2.0) -> None:
+def check_matching_window(mesh: LayerMesh, annulus) -> None:
     """Raise ContractError unless the far-field match fits the box: T at
     least eight patch radii, annulus fractions 0 < a0 < a1 <= 0.95, and an
     inner radius a0 T clear of the near field and of the cutoff transition
-    (max(2, chi_scale) patch radii)."""
+    (max(2, _CHI_SCALE) patch radii)."""
     if mesh.T < 8.0 * mesh.R_theta - 1e-9:
         raise ContractError("box half width must be at least eight patch "
                             "radii for the far-field match")
     a0, a1 = annulus
     _check_annulus(a0, a1)
-    if a0 * mesh.T < max(2.0, chi_scale) * mesh.R_theta - 1e-9:
+    if a0 * mesh.T < max(2.0, _CHI_SCALE) * mesh.R_theta - 1e-9:
         raise ContractError("matching annulus overlaps the near field or "
                             "the cutoff transition")
 
 
 def extract_capacity(mesh: LayerMesh, A, fundamentals,
-                     operators: AnsatzOperators, *,
-                     annulus=(0.55, 0.8), n_angular: int = 48,
-                     n_radial: int = 6, closure: str = "enriched",
-                     chi_scale: float = 2.0):
+                     operators: AnsatzOperators, *, annulus=(0.55, 0.8)):
     """Capacity of the clamped patch by far-field matching.
 
     For each far-field column the outer walls carry the template plus a
@@ -681,26 +671,15 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     closed as a linear system, and literal sweeps then verify it: their
     deltas are the recorded histories.
 
-    closure="plain" corrects with the four rigid columns alone, so the box
-    walls truncate everything below the template's leading order and the
-    truncation error decays only like 1/T.  closure="dipole" appends the
-    independent first-derivative fields of the template columns,
-    closure="enriched" the first and second derivatives: exact exterior
-    fields one or two growth orders down that carry the dominant part of
-    what the finite walls would otherwise chop.  The capacity is still read
-    off the rigid coefficients alone.  annulus, n_angular and n_radial (a
-    multiple of three) set the matching window and its quadrature,
-    chi_scale the cutoff radius (in patch radii) used by the decay report.
-    Returns
-    (CapacityMatrix, PotentialSolution).
+    B is the closure: the four rigid columns, then the independent first
+    and second in-plane derivatives of the template columns
+    (``FarFieldExpansion.enrichment_basis``), exact exterior fields one or
+    two growth orders down that carry the dominant part of what the finite
+    walls would otherwise chop.  The capacity is read off the rigid
+    coefficients alone.  annulus sets the matching window in units of T.
+    Returns (CapacityMatrix, PotentialSolution).
     """
-    if closure not in CLOSURES:
-        raise ValueError(f"unknown closure {closure!r}")
-    if n_radial < 3 or n_radial % 3:
-        raise ContractError("n_radial must be a positive multiple of three: "
-                            "the fit's radial sub-bands are the thirds of "
-                            "the annulus")
-    check_matching_window(mesh, annulus, chi_scale)
+    check_matching_window(mesh, annulus)
     expansion = FarFieldExpansion(fundamentals, operators)
     Amat = mat_to_float(A)
     ops_A = mat_to_float(operators.stiffness)
@@ -715,10 +694,9 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                             "defining contour identities for this "
                             f"material (defect {report.max_defect:.3e})")
 
-    method = CLOSURES[closure]
-    extra = None if method is None else getattr(expansion, method)
-    fitter = _AnnulusFitter(mesh, annulus=annulus, n_angular=n_angular,
-                            n_radial=n_radial, extra=extra)
+    fitter = _AnnulusFitter(mesh, annulus=annulus, n_angular=_N_ANGULAR,
+                            n_radial=_N_RADIAL,
+                            extra=expansion.enrichment_basis)
     grid = mesh.grid
     nodes = grid.nodes()
     cons = ConstraintSet(ncomp=3)
@@ -729,8 +707,8 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
 
     outer_pts = nodes[mesh.outer_nodes]
     D_outer = rigid_sharp(outer_pts)
-    B_outer = (D_outer if extra is None
-               else np.concatenate([D_outer, extra(outer_pts)], axis=2))
+    B_outer = np.concatenate([D_outer, expansion.enrichment_basis(outer_pts)],
+                             axis=2)
     m = B_outer.shape[2]
     xi_outer = [expansion.eval_column(c, outer_pts) for c in range(4)]
     # evaluate the template at the interpolation stencil nodes and fit the
@@ -861,10 +839,9 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                          warning=warning, T=mesh.T,
                          mesh_signature=mesh.signature,
                          theta_spec=mesh.theta_spec, material=Amat,
-                         annulus=(float(a0), float(a1)), closure=closure)
+                         annulus=(float(a0), float(a1)))
     pot = PotentialSolution(mesh=mesh, columns=columns, histories=histories,
                             c=C, x=X, expansion=expansion,
-                            chi_scale=float(chi_scale),
                             band_residuals=np.stack([fit.band_residuals
                                                      for fit in fits]))
     return cap, pot
@@ -921,7 +898,7 @@ def symmetry_and_decay_report(cap: CapacityMatrix,
         pts = np.column_stack([rho * np.cos(P).ravel(),
                                rho * np.sin(P).ravel(), Z.ravel()])
         D = rigid_sharp(pts)
-        chi = float(cutoff(rho / (pot.chi_scale * R)))
+        chi = float(cutoff(rho / (_CHI_SCALE * R)))
         # field - (1-chi) template - rigid drift, rewritten as
         # (field - template) + chi template - drift so that interpolation
         # acts on the small difference and the template part stays exact
@@ -973,7 +950,7 @@ def capacity_json(cap: CapacityMatrix) -> str:
         "correction_bars": [float(x) for x in cap.correction_bars.ravel()],
         "annulus": list(cap.annulus),
         "mode": "affine",
-        "closure": cap.closure,
+        "closure": "enriched",
         "warning": cap.warning,
     }
     return json.dumps(rec, sort_keys=True, indent=2) + "\n"

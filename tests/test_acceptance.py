@@ -103,7 +103,7 @@ def test_03_ansatz_residuals():
                 for j in range(3):
                     comps = [Poly.zero()] * 3
                     comps[j] = Poly.monomial(a, b, 0)
-                    rep = residual_report(ops, A, PolyField(comps))
+                    rep = residual_report(ops, PolyField(comps))
                     assert rep.a15_ok and rep.a16_ok and rep.a17_ok, \
                         (a, b, j)
     elapsed = time.perf_counter() - t0

@@ -67,6 +67,18 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match="tickles"):
             resolve(["run", "hardy", "--config", str(f)])
 
+    def test_removed_closure_option(self, tmp_path, capsys):
+        # the capacity closure is fixed: the flag and the key are both
+        # configuration errors (exit code 2)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "capacity", "--closure", "plain"])
+        assert exc.value.code == 2
+        assert "--closure" in capsys.readouterr().err
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps({"kind": "capacity", "closure": "plain"}))
+        with pytest.raises(ConfigError, match="unknown config key"):
+            resolve(["run", "capacity", "--config", str(f)])
+
     def test_config_file_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             resolve(["run", "hardy", "--config", str(tmp_path / "no.json")])
@@ -114,8 +126,7 @@ class TestConfigResolution:
             (["run", "fundsol-verify", "--n-angular", "8"], "n_angular"),
             (["run", "ansatz-residual", "--degree", "11"], "degree"),
             (["run", "capacity", "--growth-cap", "1.0"], "growth_cap"),
-            (["run", "capacity", "--closure", "enriched",
-              "--annulus", "0.8,0.55"], "annulus"),
+            (["run", "capacity", "--annulus", "0.8,0.55"], "annulus"),
             (["run", "capacity", "--theta", "square"], "theta"),
         ]
         for argv, frag in cases:
@@ -413,12 +424,11 @@ class TestCapacityRuns:
         trace = tmp_path / "d.csv"
         rc = run_cli(["run", "capacity", "--nz", "3", "--inner-step", "0.4",
                       "--growth-cap", "1.5", "--theta", "disk:0.8",
-                      "--closure", "plain", "-o", str(out),
-                      "--decay-output", str(trace)])
+                      "-o", str(out), "--decay-output", str(trace)])
         assert rc == 0
         rec = json.loads(out.read_text())
         assert rec["theta_spec"].startswith("indicator(")
-        assert rec["closure"] == "plain"
+        assert rec["closure"] == "enriched"
         lines = trace.read_text().strip().split("\n")
         assert lines[0] == "rho,row1,row2,row3"
         assert len(lines) > 5

@@ -2,17 +2,19 @@
 
 The check reads each module of the package and of the test suite with
 ``ast``.  An import whose line carries ``# noqa: F401`` is exempt: such a
-name is kept on purpose (for example, because the benchmark tracer wraps
-it in that module's namespace).
+name is kept on purpose.  In the package the only such purpose is the
+benchmark tracer, so each of those names must be one that
+``perfbench/tracing.py`` wraps in that module's namespace.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "platecap").glob("*.py"),
-                  *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "platecap").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 NOQA = "# noqa: F401"
 
 
@@ -71,3 +73,19 @@ def test_imports_used_and_exports_defined(path):
     bound = set(_bound_at_top(tree))
     undefined = [n for n in exported if n not in bound]
     assert not undefined, f"{path.name}: __all__ lists undefined {undefined}"
+
+
+def test_package_noqa_imports_are_traced():
+    spec = importlib.util.spec_from_file_location(
+        "platecap_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {(mod, name) for mod, name, _, _ in tracing.FUNCTIONS}
+    stray = []
+    for path in PACKAGE:
+        lines, tree = _parse(path)
+        stray += [f"{path.stem}.{name} (line {ln})"
+                  for name, ln in _imported(tree)
+                  if NOQA in lines[ln - 1]
+                  and (path.stem, name) not in wrapped]
+    assert not stray, f"noqa imports the tracer does not wrap: {stray}"

@@ -16,7 +16,7 @@ from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           solve_cg)
 from platecap.fundamental import construct_fundamental, PhiSharp
 from platecap.inequalities import ContractError
-from platecap.layer import (CLOSURES, ExtractionError, FarFieldExpansion,
+from platecap.layer import (ExtractionError, FarFieldExpansion,
                             capacity_json, decay_csv, extract_capacity,
                             grid_interpolate, layer_mesh, rigid_sharp,
                             symmetry_and_decay_report, v01_norm)
@@ -126,8 +126,6 @@ class TestLayerMesh:
         # so cells at a given radius keep their width when T grows
         assert w.growth_cap == pytest.approx(
             1.0 + (m.growth - 1.0) * m.T / 12.0)
-        raw = m.with_box(12.0, equal_tail_cells=False)
-        assert raw.growth_cap == pytest.approx(m.growth_cap)
 
     def test_signature_identifies_mesh(self):
         a, b = layer_mesh(), layer_mesh(n_z=8)
@@ -397,10 +395,14 @@ class TestFarFieldDerivatives:
 
     def test_basis_shapes(self, expansion):
         pts = np.array([[5.0, 1.0, 0.1], [2.0, -4.0, -0.2], [6.0, 6.0, 0.0]])
-        dip = expansion.dipole_basis(pts)
         enr = expansion.enrichment_basis(pts)
-        assert dip.shape == (3, 3, 7)
         assert enr.shape == (3, 3, 17)
+        # the first 7 columns are the dipoles
+        dip = np.stack([expansion.eval_derivative(col, axes, pts)
+                        for col, axes in FarFieldExpansion._ENRICHMENT[:7]],
+                       axis=2)
+        assert all(len(axes) == 1
+                   for _, axes in FarFieldExpansion._ENRICHMENT[:7])
         assert np.array_equal(enr[:, :, :7], dip)
 
 
@@ -460,7 +462,6 @@ class TestCapacityExtraction:
 
     def test_result_metadata(self, coarse_run):
         cap, pot, mesh = coarse_run
-        assert cap.closure == "enriched"
         assert cap.T == mesh.T
         assert cap.mesh_signature == mesh.signature
         assert np.array_equal(pot.c, cap.C)
@@ -483,15 +484,12 @@ class TestCapacityExtraction:
 
 
 class TestCapacityInvariances:
-    def test_cutoff_scale_invariance(self, coarse_run, ops, phi):
+    def test_annulus_quadrature_doubling(self, coarse_run, ops, phi,
+                                         monkeypatch):
         cap, _, mesh = coarse_run
-        cap2, _ = extract_capacity(mesh, A1, phi, ops, chi_scale=3.0)
-        assert np.array_equal(cap.C, cap2.C)
-
-    def test_annulus_quadrature_doubling(self, coarse_run, ops, phi):
-        cap, _, mesh = coarse_run
-        cap2, _ = extract_capacity(mesh, A1, phi, ops, n_angular=96,
-                                   n_radial=12)
+        monkeypatch.setattr(layer, "_N_ANGULAR", 96)
+        monkeypatch.setattr(layer, "_N_RADIAL", 12)
+        cap2, _ = extract_capacity(mesh, A1, phi, ops)
         dC = np.abs(cap.C - cap2.C)
         assert (dC <= cap.error_bars + cap2.error_bars).all()
 
@@ -500,30 +498,6 @@ class TestCapacityInvariances:
         cap2, _ = extract_capacity(mesh, A1, phi, ops, annulus=(0.5, 0.75))
         dC = np.abs(cap.C - cap2.C)
         assert (dC <= cap.error_bars + cap2.error_bars).all()
-
-
-class TestCapacityModes:
-    def test_dipole_closure_matches_plain_for_disk(self, coarse_run, ops,
-                                                   phi):
-        _, _, mesh = coarse_run
-        cd, pd = extract_capacity(mesh, A1, phi, ops, closure="dipole")
-        cp, _ = extract_capacity(mesh, A1, phi, ops, closure="plain")
-        assert pd.x.shape == (11, 4)
-        assert np.abs(cd.C - cp.C).max() < 1e-10
-
-    @pytest.mark.parametrize("closure", CLOSURES)
-    def test_every_closure_converges_fast(self, coarse_run, ops, phi,
-                                          closure):
-        _, _, mesh = coarse_run
-        cap, _ = extract_capacity(mesh, A1, phi, ops, closure=closure)
-        assert cap.converged.all()
-        assert (cap.iterations <= 4).all()
-        assert not cap.warning
-
-    def test_unknown_mode_and_closure(self, coarse_run, ops, phi):
-        _, _, mesh = coarse_run
-        with pytest.raises(ValueError):
-            extract_capacity(mesh, A1, phi, ops, closure="octopole")
 
 
 def _corrupt_fits(monkeypatch, good: int, corrupt):
@@ -592,13 +566,6 @@ class TestCapacityContracts:
         with pytest.raises(ContractError):
             extract_capacity(mesh, A1, phi, ops, annulus=(0.2, 0.4))
 
-    @pytest.mark.parametrize("n_radial", [2, 4])
-    def test_radial_shells_split_into_thirds(self, coarse_run, ops, phi,
-                                             n_radial):
-        _, _, mesh = coarse_run
-        with pytest.raises(ContractError, match="multiple of three"):
-            extract_capacity(mesh, A1, phi, ops, n_radial=n_radial)
-
     def test_material_mismatch(self, coarse_run, ops, phi):
         _, _, mesh = coarse_run
         doubled = 2.0 * np.array([[float(x) for x in row] for row in A1])
@@ -626,14 +593,13 @@ class TestCapacityContracts:
 def _refit_band_residuals(cap, pot, mesh):
     """Reference band residuals: one fitter of two shells per third of the
     annulus, and the misfit of the converged coefficients on each."""
-    method = CLOSURES[cap.closure]
-    extra = None if method is None else getattr(pot.expansion, method)
     nodes = mesh.grid.nodes()
     edges = np.linspace(*cap.annulus, 4)
     radii, residuals = np.empty(3), np.empty(3)
     for b in range(3):
         sub = layer._AnnulusFitter(mesh, annulus=(edges[b], edges[b + 1]),
-                                   n_angular=48, n_radial=2, extra=extra)
+                                   n_angular=48, n_radial=2,
+                                   extra=pot.expansion.enrichment_basis)
         radii[b] = 0.5 * (edges[b] + edges[b + 1]) * mesh.T
         near = sub.stencil_nodes
         acc = 0.0

@@ -142,13 +142,12 @@ class TestResiduals:
                 for j in range(3):
                     comps = [Poly.zero()] * 3
                     comps[j] = Poly.monomial(a, b, 0)
-                    rep = residual_report(OPS_ISO, ISO, PolyField(comps))
+                    rep = residual_report(OPS_ISO, PolyField(comps))
                     assert rep.a15_ok and rep.a16_ok and rep.a17_ok, (a, b, j)
 
     def test_cascade_anisotropic_mixed_degree6(self):
         rng = random.Random(99)
         for ops in OPS_ANISO:
-            A = [list(r) for r in ops.stiffness]
             w = PolyField([
                 Poly({(rng.randint(0, 3), rng.randint(0, 3), 0):
                       Q(rng.randint(-4, 4), rng.randint(1, 3))
@@ -159,12 +158,12 @@ class TestResiduals:
                       Q(rng.randint(-4, 4), rng.randint(1, 2))
                       for _ in range(4)}),
             ])
-            rep = residual_report(ops, A, w)
+            rep = residual_report(ops, w)
             assert rep.a15_ok and rep.a16_ok and rep.a17_ok
 
     def test_quartic_vertical_example(self):
         w = PolyField([0, 0, Poly.monomial(4, 0, 0)])
-        rep = residual_report(OPS_ISO, ISO, w)
+        rep = residual_report(OPS_ISO, w)
         assert rep.a17_integral == Poly.const(Q(16, 3))
         assert rep.bending_rhs == Poly.const(Q(16, 3))
 
@@ -172,7 +171,7 @@ class TestResiduals:
         w = PolyField([Poly.const(3) - Poly.monomial(0, 1, 0, Q(7, 2)),
                        Poly.const(-1) + Poly.monomial(1, 0, 0, Q(7, 2)),
                        Poly.zero()])
-        rep = residual_report(OPS_ISO, ISO, w)
+        rep = residual_report(OPS_ISO, w)
         assert all(f.is_zero() for f in rep.F)
         assert all(g.is_zero() for g in rep.G_plus + rep.G_minus)
 
@@ -183,7 +182,7 @@ class TestResiduals:
                 Poly({(rng.randint(0, 2), rng.randint(0, 1), 0):
                       rng.randint(-3, 3) for _ in range(3)})
                 for _ in range(3)])
-            rep = residual_report(OPS_ISO, ISO, w)
+            rep = residual_report(OPS_ISO, w)
             assert all(rep.F[q].is_zero() for q in range(3))
             assert all(rep.G_plus[q].is_zero() for q in range(3))
             assert all(rep.G_minus[q].is_zero() for q in range(3))
@@ -239,7 +238,7 @@ class TestResidualTables:
         for A, ops in cases:
             for degree in (2, 4, 6):
                 w = _random_field(rng, degree)
-                rep = residual_report(ops, A, w)
+                rep = residual_report(ops, w)
                 F, Gp, Gm = _direct_residuals(A, ops, w)
                 assert rep.F == F
                 assert rep.G_plus == Gp
@@ -271,16 +270,6 @@ class TestResidualTables:
                 averaged[key] = row
         assert averaged == {key: [zero, zero, Poly.const(c)]
                             for key, c in ops.bending.items()}
-
-    def test_mismatched_stiffness_rejected(self):
-        w = PolyField([0, 0, Poly.monomial(4, 0, 0)])
-        # the float form of the same material is accepted ...
-        rep = residual_report(OPS_ISO, isotropic_stiffness(1, 1), w)
-        assert rep.a17_ok
-        # ... another material is not, in exact or float form
-        for A in (isotropic_stiffness_exact(2, 1), isotropic_stiffness(2, 1)):
-            with pytest.raises(ValueError, match="stiffness"):
-                residual_report(OPS_ISO, A, w)
 
 
 class TestApplyAnsatz:
