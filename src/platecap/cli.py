@@ -529,8 +529,11 @@ def run_korn_sweep(cfg: ExperimentConfig):
     hs = _float_list(p["h"], "h")
 
     def point(h: float):
-        est = korn_constant(_korn_layout(p, h), A, p["variant"],
-                            resolution=p["resolution"], nz=p["nz"])
+        try:
+            est = korn_constant(_korn_layout(p, h), A, p["variant"],
+                                resolution=p["resolution"], nz=p["nz"])
+        except SolverError as e:
+            raise SolverError(f"h={h:g}: {e}") from e
         log.info("korn h=%g: K=%.6g (cells %d)", h, est.constant,
                  est.mesh_cells)
         return est

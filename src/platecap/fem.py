@@ -579,7 +579,7 @@ def solve_cg(system: SparseSystem, tol: float = 1e-8):
 def solve_constrained(system: SparseSystem, tol: float = 1e-10):
     """Direct solve with Lagrange rows eliminated through a Schur complement.
 
-    Returns (solution, multipliers, report).  Lagrange rows that become empty
+    Returns (solution, multipliers).  Lagrange rows that become empty
     after Dirichlet elimination are dropped with multiplier 0 when their
     target is already met, and rejected as inconsistent otherwise.
     """
@@ -635,11 +635,9 @@ def solve_constrained(system: SparseSystem, tol: float = 1e-10):
     x = np.zeros(system.n)
     x[fixed] = fvals
     x[free] = xf
-    report = SolveReport(iterations=1, residual=gap, converged=gap <= tol,
-                         unknowns=len(free))
-    if not report.converged:
+    if not gap <= tol:
         raise SolverError(f"constraint residual {gap:.3e} above {tol}")
-    return x, lam_full, report
+    return x, lam_full
 
 
 def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):

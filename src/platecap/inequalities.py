@@ -6,8 +6,7 @@ Three groups of tools:
   sampled piecewise-linear functions;
 * Korn-constant estimation on a thin box as the smallest generalized
   eigenvalue of (strain energy, weighted anisotropic norm), under lateral
-  and/or small-support clamping, plus the rigid-motion Gram matrices that
-  control the support configuration;
+  and/or small-support clamping;
 * explicit test fields whose energy/norm ratios certify that the weight
   logarithms and the support-count threshold cannot be dropped.
 """
@@ -15,16 +14,13 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .elastic import rigid_motion_matrix
 from .fem import (ConstraintSet, MeshError, StructuredGrid, assemble_elastic,
                   assemble_pointwise_form, smallest_eigenpair)
-
-SQRT2 = math.sqrt(2.0)
 
 
 class ContractError(ValueError):
@@ -319,107 +315,6 @@ def korn_csv(estimates: Sequence[KornEstimate]) -> str:
         out.write(f"{e.h:.6g},{e.J},{e.mode},{e.variant},"
                   f"{e.constant:.10g},{e.mesh_cells},{e.residual:.3e}\n")
     return out.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# rigid-motion Gram matrices
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Box:
-    lo: tuple
-    hi: tuple
-
-    def moments(self) -> dict:
-        lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
-        one_d = [[hi[i] ** (k + 1) / (k + 1) - lo[i] ** (k + 1) / (k + 1)
-                  for k in range(3)] for i in range(3)]
-        return {(a, b, c): one_d[0][a] * one_d[1][b] * one_d[2][c]
-                for a in range(3) for b in range(3) for c in range(3)
-                if a + b + c <= 2}
-
-
-@dataclass(frozen=True)
-class SupportCylinder:
-    """|y - center| < radius crossed with zlo < z < zhi."""
-    center: tuple
-    radius: float
-    zlo: float = -0.5
-    zhi: float = 0.5
-
-    def moments(self) -> dict:
-        c1, c2 = self.center
-        r, zl, zh = self.radius, self.zlo, self.zhi
-        area = math.pi * r * r
-        plane = {
-            (0, 0): area,
-            (1, 0): area * c1, (0, 1): area * c2,
-            (2, 0): area * (c1 * c1 + r * r / 4),
-            (0, 2): area * (c2 * c2 + r * r / 4),
-            (1, 1): area * c1 * c2,
-        }
-        zmom = [zh ** (k + 1) / (k + 1) - zl ** (k + 1) / (k + 1)
-                for k in range(3)]
-        return {(a, b, c): plane[(a, b)] * zmom[c]
-                for (a, b) in plane for c in range(3) if a + b + c <= 2}
-
-
-# columns of the rigid motion matrix as affine forms: coeffs of (1, x1, x2, x3)
-_RIGID_COLS = np.zeros((6, 3, 4))
-_RIGID_COLS[0, 0, 0] = 1.0
-_RIGID_COLS[1, 1, 0] = 1.0
-_RIGID_COLS[2, 2, 0] = 1.0
-_RIGID_COLS[3, 1, 3] = -1.0
-_RIGID_COLS[3, 2, 2] = 1.0
-_RIGID_COLS[4, 0, 3] = 1.0
-_RIGID_COLS[4, 2, 1] = -1.0
-_RIGID_COLS[5, 0, 2] = -1.0
-_RIGID_COLS[5, 1, 1] = 1.0
-
-_EXP = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-
-def gram_matrix(region) -> np.ndarray:
-    """Exact Gram matrix of the rigid-motion columns over the region."""
-    mom = region.moments()
-    G = np.zeros((6, 6))
-    for k in range(6):
-        for l in range(k, 6):
-            s = 0.0
-            for comp in range(3):
-                ck, cl = _RIGID_COLS[k, comp], _RIGID_COLS[l, comp]
-                for p in range(4):
-                    if ck[p] == 0.0:
-                        continue
-                    for q in range(4):
-                        if cl[q] == 0.0:
-                            continue
-                        key = tuple(a + b for a, b in zip(_EXP[p], _EXP[q]))
-                        s += ck[p] * cl[q] * mom[key]
-            G[k, l] = G[l, k] = s
-    return G
-
-
-def support_matrix(layout: SupportLayout) -> np.ndarray:
-    """Sum of cylinder Gram matrices over the support configuration.
-
-    Each support contributes the cylinder of half the support radius (the
-    zone where admissible fields are flattened to zero) with the vertical
-    coordinate stretched to unit thickness.
-    """
-    rho = layout.R * layout.h / 2.0
-    G = np.zeros((6, 6))
-    for c in layout.centers:
-        G += gram_matrix(SupportCylinder(tuple(c), rho))
-    return G
-
-
-def support_matrix_leading(center) -> np.ndarray:
-    """Per-unit-volume leading term of a support cylinder's Gram matrix."""
-    d0 = rigid_motion_matrix((center[0], center[1], 0.0))
-    t = np.zeros((3, 6))
-    t[0, 3] = t[1, 4] = 1.0
-    return d0.T @ d0 + t.T @ t / 12.0
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
     if g.shape != (grid.n_nodes, 2):
         raise ValueError("membrane load must be nodal (n_nodes, 2)")
     system.rhs = apply_mass(grid, g).ravel()
-    x, _, report = solve_constrained(system)
+    x, _ = solve_constrained(system)
     r = system.matrix @ x - system.rhs
     free = system.free_dofs()
     rel = np.linalg.norm(r[free]) / max(np.linalg.norm(system.rhs[free]),
@@ -246,7 +246,7 @@ def solve_bending(domain: PlateDomain, A0, g3, enforce_point: bool = True):
     if g.shape != (grid.n_nodes,):
         raise ValueError("bending load must be nodal (n_nodes,)")
     system.rhs = _node_weights(domain) * g
-    x, lam, report = solve_constrained(system, tol=1e-8)
+    x, lam = solve_constrained(system, tol=1e-8)
     # normwise backward error on the free dofs: the factor runs without
     # pivoting, and the matrix is too ill-conditioned for a residual test
     free = system.free_dofs()

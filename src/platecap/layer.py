@@ -496,9 +496,9 @@ class _AnnulusFitter:
     mesh nodes it reads."""
 
     def __init__(self, mesh: LayerMesh, annulus=(0.55, 0.8),
-                 n_angular: int = _N_ANGULAR, n_radial: int = _N_RADIAL,
-                 extra=None):
+                 n_radial: int = _N_RADIAL, extra=None):
         a0, a1 = annulus
+        n_angular = _N_ANGULAR
         _check_annulus(a0, a1)
         nt = mesh.n_z
         T = mesh.T
@@ -694,8 +694,8 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                             "defining contour identities for this "
                             f"material (defect {report.max_defect:.3e})")
 
-    fitter = _AnnulusFitter(mesh, annulus=annulus, n_angular=_N_ANGULAR,
-                            n_radial=_N_RADIAL,
+    # _N_RADIAL is read here, not through the default, which binds at import
+    fitter = _AnnulusFitter(mesh, annulus=annulus, n_radial=_N_RADIAL,
                             extra=expansion.enrichment_basis)
     grid = mesh.grid
     nodes = grid.nodes()

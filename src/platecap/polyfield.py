@@ -460,13 +460,6 @@ def lincomb(pairs: Iterable) -> Poly:
     return _finish(acc)
 
 
-ZERO = Poly.zero()
-ONE = Poly.const(1)
-Y1 = Poly.var(0)
-Y2 = Poly.var(1)
-ZETA = Poly.var(2)
-
-
 class PolyField:
     """Three-component displacement field with Poly components."""
 

@@ -148,7 +148,7 @@ def _w2_table(Ae):
 
 
 # ---------------------------------------------------------------------------
-# direct limit-operator symbol tables (for cross-checks and kirchhoff2d)
+# direct limit-operator symbol tables (for cross-checks and kirchhoff)
 # ---------------------------------------------------------------------------
 
 def membrane_table_direct(A0):
@@ -500,54 +500,3 @@ def residual_report(ops: AnsatzOperators, w: PolyField) -> ResidualReport:
     return ResidualReport(F=F, G_plus=Gp, G_minus=Gm, a15_ok=a15,
                           a16_ok=a16, a17_ok=a17, membrane_rhs=mem,
                           bending_rhs=bend, a17_integral=a17_int)
-
-
-# ---------------------------------------------------------------------------
-# plain-text operator dump (documentation + downstream consumption)
-# ---------------------------------------------------------------------------
-
-def _q2_str(x: Q2) -> str:
-    return f"{x.a}" if x.b == 0 else f"{x.a}+{x.b}r2"
-
-
-def _q2_parse(s: str) -> Q2:
-    if "r2" in s:
-        a, b = s.split("+")
-        return Q2(Q(a), Q(b[:-2]))
-    return Q2(Q(s))
-
-
-def dump_operators(ops: AnsatzOperators) -> str:
-    """Serialize the symbol tables; entry lines read
-    Wp i j a b : c0 c1 ... (zeta-polynomial coefficients, low order first)."""
-    lines = ["# ansatz operator tables: Wp i j a b : zeta coefficients"]
-    for p, table in enumerate(ops.tables):
-        for key in sorted(table):
-            a, b = key
-            M = table[key]
-            for i in range(3):
-                for j in range(3):
-                    poly = M[i][j]
-                    if poly.is_zero():
-                        continue
-                    deg = poly.zeta_degree()
-                    coeffs = [poly.coeff(0, 0, c) for c in range(deg + 1)]
-                    body = " ".join(_q2_str(c) for c in coeffs)
-                    lines.append(f"W{p} {i} {j} {a} {b} : {body}")
-    return "\n".join(lines) + "\n"
-
-
-def load_operator_tables(text: str):
-    """Parse dump_operators output back into four symbol tables."""
-    tables = [dict(), dict(), dict(), dict()]
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, body = line.split(":")
-        p, i, j, a, b = (int(x) if x.isdigit() else x for x in head.split())
-        p = int(str(p)[1:]) if isinstance(p, str) else p
-        coeffs = [_q2_parse(tok) for tok in body.split()]
-        poly = Poly({(0, 0, c): v for c, v in enumerate(coeffs)})
-        _table_add(tables[p], (int(a), int(b)), int(i), int(j), poly)
-    return tuple(tables)

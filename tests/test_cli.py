@@ -225,9 +225,30 @@ class TestMainEntry:
         out = tmp_path / "out"
         rc = run_cli(["run"] + argv + ["-o", str(out)])
         assert rc == 1
+        # a korn point names its h
+        where = "h=0.2: " if target == "korn_constant" else ""
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"platecap: FAIL {argv[0]}: "
-                       f"{type(error).__name__}: {error}"]
+                       f"{type(error).__name__}: {where}{error}"]
+        assert not out.exists()
+
+    def test_korn_failure_names_its_h_under_jobs(self, tmp_path, capsys,
+                                                 monkeypatch):
+        real = cli.korn_constant
+
+        def fail_at_small_h(layout, *args, **kwargs):
+            if layout.h == 0.1:
+                raise SolverError("eigen residual 1e-3 above tol")
+            return real(layout, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "korn_constant", fail_at_small_h)
+        out = tmp_path / "k.csv"
+        rc = run_cli(["run", "korn-sweep", "--h", "0.2,0.1", "--jobs", "2",
+                      "-o", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["platecap: FAIL korn-sweep: SolverError: h=0.1: "
+                       "eigen residual 1e-3 above tol"]
         assert not out.exists()
 
     def test_assertion_failure_exit_1(self, tmp_path, capsys):

@@ -1,10 +1,21 @@
-"""Every imported name is used, and every name in ``__all__`` is defined.
+"""Every imported name is used, every name in ``__all__`` is defined, and
+every package definition is reached by a run, a gate or a workload.
 
-The check reads each module of the package and of the test suite with
+The checks read each module of the package and of the test suite with
 ``ast``.  An import whose line carries ``# noqa: F401`` is exempt: such a
 name is kept on purpose.  In the package the only such purpose is the
 benchmark tracer, so each of those names must be one that
 ``perfbench/tracing.py`` wraps in that module's namespace.
+
+Reachability is a closure over the top-level definitions (``def``,
+``class`` and assignment) of ``src/platecap``.  Its roots are every
+definition of ``cli`` and every identifier of ``tests/test_acceptance.py``
+and of ``perfbench/*.py``, string constants of the latter included (the
+tracer names the functions it wraps as strings).  A definition reaches every
+name and attribute in its own source that resolves, through its module or
+that module's ``from .m import n`` imports, to another definition.  What
+nothing reaches must be listed in ``REFERENCE_ONLY`` with its reason, and
+that list must hold nothing else.
 """
 import ast
 import importlib.util
@@ -16,6 +27,25 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "platecap").glob("*.py"))
 MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 NOQA = "# noqa: F401"
+
+# Definitions that only tests reach, kept on purpose: exact references the
+# tests compare against, and the paper's objects that open work builds on.
+REFERENCE_ONLY = {
+    "elastic.lame_reduced": "closed-form reduced Lame modulus of the oracle",
+    "elastic.lame_reduced_exact": "exact reduced stiffness the tests compare "
+                                  "the reduction against",
+    "elastic.rigid_polyfield": "exact rigid motions the residual tests feed "
+                               "the operators",
+    "fundamental.eval_isotropic_fundamentals": "closed-form isotropic "
+                                               "fundamental matrices, the "
+                                               "tests' oracle",
+    "layer.grid_interpolate": "the tests' reference for the annulus fitter's "
+                              "stencil",
+    "layer.v01_norm": "the paper's weighted norm of the layer",
+    "reduction.apply_ansatz": "the paper's ansatz field built from a limit "
+                              "solution",
+    "reduction.AnsatzField": "the field apply_ansatz returns",
+}
 
 
 def _parse(path):
@@ -45,19 +75,38 @@ def _exported(tree):
     return []
 
 
-def _bound_at_top(tree):
-    """Names the module's top-level statements bind."""
+def _defined(tree):
+    """(name, statement) of every top-level def, class and assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for a in node.names:
-                yield a.asname or a.name.split(".")[0]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
-            yield from (n.id for t in targets for n in ast.walk(t)
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
                         if isinstance(n, ast.Name))
+
+
+def _bound_at_top(tree):
+    """Names the module's top-level statements bind."""
+    yield from (name for name, _ in _defined(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0]
+
+
+def _identifiers(tree, strings=False):
+    """Every name and attribute in the tree, and its string constants if
+    asked."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif (strings and isinstance(n, ast.Constant)
+              and isinstance(n.value, str)):
+            yield n.value
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -89,3 +138,47 @@ def test_package_noqa_imports_are_traced():
                   if NOQA in lines[ln - 1]
                   and (path.stem, name) not in wrapped]
     assert not stray, f"noqa imports the tracer does not wrap: {stray}"
+
+
+def test_package_definitions_are_reached():
+    defs, imports = {}, {}     # "module.name" -> statement; alias resolution
+    for path in PACKAGE:
+        mod = path.stem
+        _, tree = _parse(path)
+        defs.update((f"{mod}.{name}", node) for name, node in _defined(tree)
+                    if not (name.startswith("__") and name.endswith("__")))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imports.update((f"{mod}.{a.asname or a.name}",
+                                f"{node.module}.{a.name}")
+                               for a in node.names)
+
+    def resolve(mod, name):
+        key = f"{mod}.{name}"
+        while key in imports:
+            key = imports[key]
+        return key if key in defs else None
+
+    by_name = {}
+    for key in defs:
+        by_name.setdefault(key.split(".", 1)[1], []).append(key)
+    outside = [(ROOT / "tests" / "test_acceptance.py", False),
+               *((p, True) for p in (ROOT / "perfbench").glob("*.py"))]
+    todo = [key for key in defs if key.startswith("cli.")]
+    for path, strings in outside:
+        for name in set(_identifiers(_parse(path)[1], strings)):
+            todo += by_name.get(name, [])
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        mod = key.split(".", 1)[0]
+        todo += filter(None, (resolve(mod, name)
+                              for name in set(_identifiers(defs[key]))))
+    unreached = sorted(set(defs) - reached - set(REFERENCE_ONLY))
+    assert not unreached, ("definitions no run, gate or workload reaches: "
+                           f"{unreached}")
+    stale = sorted(k for k in REFERENCE_ONLY if k in reached or k not in defs)
+    assert not stale, f"REFERENCE_ONLY entries reached or not defined: {stale}"

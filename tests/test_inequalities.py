@@ -1,19 +1,18 @@
-"""Tests for Hardy ratios, Korn estimates, Gram matrices, and test fields."""
+"""Tests for Hardy ratios, weights, Korn estimates, and test fields."""
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from platecap.elastic import isotropic_stiffness, rigid_motion_matrix
+from platecap.elastic import isotropic_stiffness
 from platecap.fem import EliminationSolver, MeshError
-from platecap.inequalities import (NORM_VARIANTS, Box, ContractError,
-                                   SupportCylinder, SupportLayout, WeightSpec,
+from platecap.inequalities import (NORM_VARIANTS, ContractError,
+                                   SupportLayout, WeightSpec,
                                    boundary_distance, cutoff, cutoff_slope,
-                                   gram_matrix, hardy_constant, hardy_ratio,
-                                   korn_constant, korn_csv, korn_system,
-                                   optimality_witness, support_matrix,
-                                   support_matrix_leading, weights_eval)
+                                   hardy_constant, hardy_ratio, korn_constant,
+                                   korn_csv, korn_system, optimality_witness,
+                                   weights_eval)
 
 ISO = isotropic_stiffness(1.0, 1.0)
 CENTERS = ((0.35, 0.4), (0.65, 0.6))
@@ -176,98 +175,6 @@ class TestSupportLayout:
             SupportLayout(centers=(), R=1.0, h=0.1)
         lay = SupportLayout(centers=CENTERS, R=1.0, h=0.1)
         assert lay.J == 2
-
-
-class TestGramMatrices:
-    def test_half_cube_exact_values(self):
-        G = gram_matrix(Box((-0.5, -0.5, -0.25), (0.5, 0.5, 0.25)))
-        want = np.diag([0.5, 0.5, 0.5, 5.0 / 96.0, 5.0 / 96.0, 1.0 / 12.0])
-        assert np.abs(G - want).max() < 1e-15
-
-    def test_box_matches_quadrature_oracle(self):
-        rng = np.random.default_rng(21)
-        gauss, wts = np.polynomial.legendre.leggauss(3)
-        for _ in range(5):
-            lo = rng.uniform(-1.0, 0.0, 3)
-            hi = lo + rng.uniform(0.2, 1.5, 3)
-            pts, ws = [], []
-            for ix, wx in zip(gauss, wts):
-                for iy, wy in zip(gauss, wts):
-                    for iz, wz in zip(gauss, wts):
-                        pts.append(0.5 * (lo + hi) + 0.5 * (hi - lo)
-                                   * np.array([ix, iy, iz]))
-                        ws.append(wx * wy * wz * np.prod(hi - lo) / 8.0)
-            d = rigid_motion_matrix(np.array(pts))
-            oracle = np.einsum("p,pik,pil->kl", np.array(ws), d, d)
-            assert np.abs(gram_matrix(Box(tuple(lo), tuple(hi)))
-                          - oracle).max() < 1e-12
-
-    def test_cylinder_matches_quadrature_oracle(self):
-        # radial Gauss x 16 angles integrates the degree-4 integrand exactly
-        rng = np.random.default_rng(22)
-        gr, wr = np.polynomial.legendre.leggauss(4)
-        gz, wz = np.polynomial.legendre.leggauss(3)
-        for _ in range(4):
-            c = rng.uniform(-0.5, 0.5, 2)
-            rho = rng.uniform(0.1, 0.6)
-            pts, ws = [], []
-            for a in range(16):
-                phi = 2.0 * math.pi * (a + 0.5) / 16.0
-                for r_, w_ in zip(gr, wr):
-                    rr = 0.5 * rho * (r_ + 1.0)
-                    for z_, wzz in zip(gz, wz):
-                        pts.append([c[0] + rr * math.cos(phi),
-                                    c[1] + rr * math.sin(phi), 0.5 * z_])
-                        ws.append(w_ * wzz * rr * 0.5 * rho
-                                  * (2.0 * math.pi / 16.0) * 0.5)
-            d = rigid_motion_matrix(np.array(pts))
-            oracle = np.einsum("p,pik,pil->kl", np.array(ws), d, d)
-            got = gram_matrix(SupportCylinder(tuple(c), rho))
-            assert np.abs(got - oracle).max() < 1e-12
-
-    def test_gram_symmetric_positive_semidefinite(self):
-        rng = np.random.default_rng(23)
-        for _ in range(5):
-            lo = rng.uniform(-1.0, 0.0, 3)
-            G = gram_matrix(Box(tuple(lo), tuple(lo + rng.uniform(0.1, 1, 3))))
-            assert np.abs(G - G.T).max() == 0.0
-            assert np.linalg.eigvalsh(G).min() > -1e-12
-
-    def test_cylinder_leading_term_within_h(self):
-        c = (0.3, 0.7)
-        lead = support_matrix_leading(c)
-        for h in (0.1, 0.05, 0.025):
-            G = gram_matrix(SupportCylinder(c, h / 2.0))
-            vol = math.pi * (h / 2.0) ** 2
-            rel = np.abs(G / vol - lead).max() / np.abs(lead).max()
-            assert rel < h   # measured O(h^2), bound O(h) with margin
-
-    def test_two_supports_inverse_bounded_by_h_squared(self):
-        vals = []
-        for h in (0.2, 0.1, 0.05, 0.025):
-            lay = SupportLayout(centers=CENTERS, R=1.0, h=h)
-            M = support_matrix(lay)
-            vals.append(np.linalg.norm(np.linalg.inv(M), 2) * h * h)
-        vals = np.array(vals)
-        assert vals.max() < 40.0
-        assert vals.max() / vals.min() < 1.2
-
-    def test_single_support_rotation_degenerates_like_h4(self):
-        # rotation about the support axis only sees the disk inertia
-        for rho in (0.1, 0.05):
-            G = gram_matrix(SupportCylinder((0.0, 0.0), rho))
-            assert G[5, 5] == pytest.approx(math.pi * rho ** 4 / 2.0,
-                                            rel=1e-12)
-        h1, h2 = 0.1, 0.05
-        q = []
-        for h in (h1, h2):
-            lay = SupportLayout(centers=((0.5, 0.5),), R=1.0, h=h)
-            M = support_matrix(lay)
-            v = np.array([0.5, -0.5, 0.0, 0.0, 0.0, 1.0])
-            q.append(float(v @ M @ v))
-        assert q[0] / q[1] == pytest.approx(16.0, rel=1e-10)
-        assert q[1] == pytest.approx(math.pi * (1.0 * h2 / 2) ** 4 / 2.0,
-                                     rel=1e-12)
 
 
 class TestKornConstant:

@@ -598,7 +598,7 @@ def _refit_band_residuals(cap, pot, mesh):
     radii, residuals = np.empty(3), np.empty(3)
     for b in range(3):
         sub = layer._AnnulusFitter(mesh, annulus=(edges[b], edges[b + 1]),
-                                   n_angular=48, n_radial=2,
+                                   n_radial=2,
                                    extra=pot.expansion.enrichment_basis)
         radii[b] = 0.5 * (edges[b] + edges[b + 1]) * mesh.T
         near = sub.stencil_nodes

@@ -11,9 +11,8 @@ from platecap.polyfield import Poly, PolyField, Q2
 from platecap.reduction import (ReductionError, apply_ansatz, apply_bending,
                                 apply_membrane, apply_operator_table,
                                 bending_table_direct,
-                                build_dimension_reduction, dump_operators,
-                                load_operator_tables, membrane_table_direct,
-                                residual_report)
+                                build_dimension_reduction,
+                                membrane_table_direct, residual_report)
 
 ZETA = Poly.var(2)
 
@@ -294,22 +293,6 @@ class TestApplyAnsatz:
         # field = h W1 w + h^2 W2 w (W0, W3 vanish here)
         assert af.field[0] == Poly.var(0) * Q(1, 2)
         assert af.field[2] == ZETA * Q(-1, 12)
-
-
-class TestSerialization:
-    def test_dump_round_trip(self):
-        for ops in (OPS_ISO, OPS_ANISO[1]):
-            tabs = load_operator_tables(dump_operators(ops))
-            for p in range(4):
-                assert set(tabs[p]) == set(ops.tables[p])
-                for k in tabs[p]:
-                    for i in range(3):
-                        for j in range(3):
-                            assert tabs[p][k][i][j] == ops.tables[p][k][i][j]
-
-    def test_dump_is_deterministic_text(self):
-        assert dump_operators(OPS_ISO) == dump_operators(OPS_ISO)
-        assert dump_operators(OPS_ISO).startswith("#")
 
 
 class TestErrors:
