@@ -174,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spacing", type=float, help="coarsest grid spacing")
     sp.add_argument("--levels", type=int, help="number of halvings")
     sp.add_argument("--load", help="constant | sine-bump | file:<csv>")
-    sp.add_argument("--point", help="support point 'x,y'")
+    sp.add_argument("--point", help="support point 'x,y', snapped to the "
+                                    "nearest grid node, which must be "
+                                    "interior")
     _add_common(sp)
 
     sp = kinds.add_parser("fundsol-verify", help="contour identities of "
@@ -582,7 +584,7 @@ def run_kirchhoff(cfg: ExperimentConfig):
         we = w_exact(dom.grid.nodes())
         err_m = max(np.abs(w1 - we[:, 0]).max(), np.abs(w2 - we[:, 1]).max())
         w3_exact, g3 = manufactured_bending(dom, ben)
-        w3, _, _ = solve_bending(dom, A0, g3, enforce_point=False)
+        w3, _, _ = solve_bending(dom, A0, g3)
         err_b = np.abs(w3 - w3_exact(dom.grid.nodes())).max()
         spacings.append(dom.dx)
         errs_m.append(float(err_m))

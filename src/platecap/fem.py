@@ -169,11 +169,11 @@ def _shape_gradients(ndim: int, t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ConstraintSet:
-    """Dirichlet values per (node, component) plus optional Lagrange rows."""
+    """Dirichlet values per (node, component); a point support is one such
+    value, and its reaction is the residual b - K x at that dof."""
 
     ncomp: int = 3
     dirichlet: dict = field(default_factory=dict)   # (node, comp) -> value
-    lagrange: list = field(default_factory=list)    # (dof_idx, coeffs, target)
 
     def fix(self, node: int, comp: int, value: float = 0.0):
         key = (int(node), int(comp))
@@ -186,10 +186,6 @@ class ConstraintSet:
         for n in np.asarray(nodes).ravel():
             for c in comps:
                 self.fix(int(n), int(c), value)
-
-    def add_lagrange(self, dof_idx, coeffs, target: float = 0.0):
-        self.lagrange.append((np.asarray(dof_idx, dtype=int),
-                              np.asarray(coeffs, dtype=float), float(target)))
 
     def dirichlet_dofs(self):
         """Dirichlet dofs node * ncomp + comp in increasing order, and their
@@ -218,8 +214,7 @@ class SparseSystem:
 
     def split_dofs(self):
         """(fixed, values, free): the Dirichlet dofs and values, and the
-        sorted dofs without a Dirichlet value; dofs that only carry a
-        Lagrange row stay free."""
+        sorted dofs without a Dirichlet value."""
         fixed, vals = self.constraints.dirichlet_dofs()
         mask = np.ones(self.n, dtype=bool)
         mask[fixed] = False
@@ -543,8 +538,6 @@ def solve_cg(system: SparseSystem, tol: float = 1e-8):
     CG itself does not notice an indefinite matrix, so a non-positive
     diagonal is rejected up front; a run that hits the cap raises.
     """
-    if system.constraints.lagrange:
-        raise ValueError("Lagrange rows present: use solve_constrained")
     K = system.matrix.tocsr()
     fixed, fvals, free = system.split_dofs()
     Kff = K[free][:, free].tocsr()
@@ -576,68 +569,11 @@ def solve_cg(system: SparseSystem, tol: float = 1e-8):
                           unknowns=len(free))
 
 
-def solve_constrained(system: SparseSystem, tol: float = 1e-10):
-    """Direct solve with Lagrange rows eliminated through a Schur complement.
-
-    Returns (solution, multipliers).  Lagrange rows that become empty
-    after Dirichlet elimination are dropped with multiplier 0 when their
-    target is already met, and rejected as inconsistent otherwise.
-    """
-    solver = EliminationSolver(system)
-    free, fixed = solver.free, solver.fixed
-    fvals = solver.fixed_values
-    pos_of = np.full(system.n, -1, dtype=int)
-    pos_of[free] = np.arange(len(free))
-
-    rows, targets, keep = [], [], []
-    for li, (idx, coef, tgt) in enumerate(system.constraints.lagrange):
-        g = float(tgt)
-        r = np.zeros(len(free))
-        for dof, cf in zip(idx, coef):
-            p = pos_of[dof]
-            if p >= 0:
-                r[p] += cf
-            else:
-                g -= cf * fvals[np.searchsorted(fixed, dof)]
-        nrm = float(np.linalg.norm(r))
-        if nrm == 0.0:
-            if abs(g) > 1e-9 * max(1.0, abs(tgt)):
-                raise SolverError(
-                    f"inconsistent constraint {li}: empty row, target {g}")
-            continue   # inactive duplicate of Dirichlet data: multiplier 0
-        rows.append(r)
-        targets.append(g)
-        keep.append(li)
-
-    b = system.rhs[free].astype(float)
-    if solver.Kfc is not None:
-        b = b - solver.Kfc @ fvals
-    x0 = solver.solve_free(b) if len(free) else np.zeros(0)
-
-    lam_full = np.zeros(len(system.constraints.lagrange))
-    if rows:
-        C = np.vstack(rows)
-        Y = solver.solve_free(C.T)
-        S = C @ Y
-        resid = C @ x0 - np.asarray(targets)
-        try:
-            lam = np.linalg.solve(S, resid)
-        except np.linalg.LinAlgError:
-            raise SolverError("singular saddle system: dependent constraints")
-        if not np.all(np.isfinite(lam)):
-            raise SolverError("singular saddle system: dependent constraints")
-        xf = x0 - Y @ lam
-        lam_full[np.asarray(keep)] = lam
-        gap = float(np.max(np.abs(C @ xf - targets)))
-    else:
-        xf = x0
-        gap = 0.0
-    x = np.zeros(system.n)
-    x[fixed] = fvals
-    x[free] = xf
-    if not gap <= tol:
-        raise SolverError(f"constraint residual {gap:.3e} above {tol}")
-    return x, lam_full
+def solve_constrained(system: SparseSystem) -> np.ndarray:
+    """Direct solve of the Dirichlet-constrained system: the free block is
+    factored once by EliminationSolver and the fixed dofs take their
+    values.  Returns the solution on all dofs."""
+    return EliminationSolver(system).solve()
 
 
 def smallest_eigenpair(K_system: SparseSystem, M_matrix, tol: float = 1e-6):

@@ -14,8 +14,9 @@ and reflects ghost nodes through the boundary (mirror), which enforces the
 zero normal slope: the reflected second difference 2*w_1/dx^2 at the contour
 is the consistent curvature of a clamped plate, and the mirrored cross
 difference vanishes there, as it must when w and its normal derivative are
-held at zero.  A point support at an interior node is a single Lagrange
-row; its multiplier is the reaction force.
+held at zero.  A point support at an interior node is one more Dirichlet
+value, w3 = 0 there; its reaction force is the residual b - K w3 at that
+node.
 
 The bending matrix couples nodes up to two apart along each axis, so its
 system declares grid reach 2 and is factored in nested-dissection order
@@ -159,7 +160,7 @@ def solve_membrane(domain: PlateDomain, A0, gprime):
     if g.shape != (grid.n_nodes, 2):
         raise ValueError("membrane load must be nodal (n_nodes, 2)")
     system.rhs = apply_mass(grid, g).ravel()
-    x, _ = solve_constrained(system)
+    x = solve_constrained(system)
     r = system.matrix @ x - system.rhs
     free = system.free_dofs()
     rel = np.linalg.norm(r[free]) / max(np.linalg.norm(system.rhs[free]),
@@ -212,8 +213,9 @@ def _node_weights(domain: PlateDomain) -> np.ndarray:
     return np.outer(wx, wy).ravel()
 
 
-def bending_system(domain: PlateDomain, A0,
-                   enforce_point: bool = True) -> SparseSystem:
+def bending_system(domain: PlateDomain, A0) -> SparseSystem:
+    """Clamped bending system; the support node, if the domain has one, is
+    fixed at zero."""
     A0f = mat_to_float(A0)
     D = _curvature_matrix(domain)
     w = _node_weights(domain)
@@ -221,23 +223,21 @@ def bending_system(domain: PlateDomain, A0,
     K = (D.T @ S @ D).tocsr()
     cs = ConstraintSet(ncomp=1)
     cs.fix_nodes(domain.boundary_nodes(), comps=(0,))
-    if enforce_point:
-        node = domain.point_node
-        if node is None:
-            raise DomainError("domain has no support point")
-        cs.add_lagrange([node], [1.0], 0.0)
+    if domain.point_node is not None:
+        cs.fix(domain.point_node, 0)
     N = K.shape[0]
     return SparseSystem(matrix=K, rhs=np.zeros(N), constraints=cs,
                         grid_shape=domain.shape, grid_reach=2)
 
 
-def solve_bending(domain: PlateDomain, A0, g3, enforce_point: bool = True):
+def solve_bending(domain: PlateDomain, A0, g3):
     """Clamped fourth-order solve; returns (w3, multiplier, energy).
 
     g3 is nodal samples (n_nodes,) or a callable on points.  The load pairs
-    against the same trapezoid weights the energy uses.
+    against the same trapezoid weights the energy uses.  The multiplier is
+    the reaction b - K w3 at the support node, 0 without a support.
     """
-    system = bending_system(domain, A0, enforce_point=enforce_point)
+    system = bending_system(domain, A0)
     grid = domain.grid
     if callable(g3):
         g = np.asarray(g3(grid.nodes()), dtype=float).ravel()
@@ -246,13 +246,11 @@ def solve_bending(domain: PlateDomain, A0, g3, enforce_point: bool = True):
     if g.shape != (grid.n_nodes,):
         raise ValueError("bending load must be nodal (n_nodes,)")
     system.rhs = _node_weights(domain) * g
-    x, lam = solve_constrained(system, tol=1e-8)
+    x = solve_constrained(system)
     # normwise backward error on the free dofs: the factor runs without
     # pivoting, and the matrix is too ill-conditioned for a residual test
     free = system.free_dofs()
     r = system.matrix @ x - system.rhs
-    for (idx, coef, _), mu in zip(system.constraints.lagrange, lam):
-        np.add.at(r, idx, mu * coef)
     in_free = np.zeros(system.n)
     in_free[free] = 1.0
     K_norm = (abs(system.matrix) @ in_free)[free].max()
@@ -261,13 +259,8 @@ def solve_bending(domain: PlateDomain, A0, g3, enforce_point: bool = True):
         np.finfo(float).tiny)
     if eta > 1e-12:
         raise SolverError(f"bending backward error {eta:.3e} above 1e-12")
-    if enforce_point:
-        gap = abs(x[domain.point_node])
-        if gap > 1e-12 * max(1.0, np.abs(x).max()):
-            raise SolverError(f"support residual {gap:.3e} above 1e-12")
-        mult = float(lam[0])
-    else:
-        mult = 0.0
+    node = domain.point_node
+    mult = 0.0 if node is None else float(-r[node])
     energy = 0.5 * float(x @ (system.matrix @ x)) - float(system.rhs @ x)
     return x, mult, energy
 

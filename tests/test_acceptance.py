@@ -140,7 +140,7 @@ def test_05_kirchhoff_convergence():
         errs_m.append(max(np.abs(w1 - we[:, 0]).max(),
                           np.abs(w2 - we[:, 1]).max()))
         w3_exact, g3 = manufactured_bending(dom, ben)
-        w3, _, _ = solve_bending(dom, A0, g3, enforce_point=False)
+        w3, _, _ = solve_bending(dom, A0, g3)
         errs_b.append(np.abs(w3 - w3_exact(dom.grid.nodes())).max())
     rate_m = np.log2(np.array(errs_m[:-1]) / np.array(errs_m[1:]))
     rate_b = np.log2(np.array(errs_b[:-1]) / np.array(errs_b[1:]))

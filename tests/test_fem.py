@@ -1,4 +1,4 @@
-"""Structured FEM: assembly oracles, CG, saddle solves, eigenpairs."""
+"""Structured FEM: assembly oracles, CG, constrained solves, eigenpairs."""
 import tracemalloc
 
 import numpy as np
@@ -331,12 +331,6 @@ class TestCG:
         with pytest.raises(SolverError):
             solve_cg(sysm, tol=1e-12)
 
-    def test_lagrange_rejected(self):
-        sysm, _ = laplacian_1d(5)
-        sysm.constraints.add_lagrange([0], [1.0], 0.0)
-        with pytest.raises(ValueError):
-            solve_cg(sysm)
-
 
 class TestEigen:
     def test_k_equals_m(self):
@@ -410,7 +404,6 @@ class TestConstrained:
         cs = sysm.constraints
         top = int(g.face_nodes(2, 1)[0])
         cs.fix(top, 0, 0.25)
-        cs.add_lagrange([top * 3 + 2], [1.0], 0.0)
         fixed = np.array([n * 3 + c for n, c in cs.dirichlet])
         free = sysm.free_dofs()
         assert np.array_equal(free, np.setdiff1d(np.arange(sysm.n), fixed))
@@ -442,50 +435,50 @@ class TestConstrained:
         assert np.array_equal(np.sort(np.concatenate([fixed, free])),
                               np.arange(sysm.n))
 
-    def test_duplicate_of_dirichlet_gets_zero_multiplier(self):
-        g, sysm = self._clamped_system()
-        node = int(g.face_nodes(2, 0)[0])
-        sysm.constraints.add_lagrange([node * 3 + 2], [1.0], 0.0)
-        x, lam = solve_constrained(sysm)
-        assert lam[0] == 0.0
+    @staticmethod
+    def _reaction(sysm, x, dof):
+        """b - K x at a fixed dof: the force that holds it at its value."""
+        return float((sysm.rhs - sysm.matrix @ x)[dof])
 
     def test_inactive_point_constraint(self):
+        # fixing a dof at the value it takes anyway changes nothing and
+        # needs no reaction
         g, sysm = self._clamped_system()
-        x0, _ = solve_constrained(
-            SparseSystem(sysm.matrix, sysm.rhs, ConstraintSet(
-                ncomp=3, dirichlet=dict(sysm.constraints.dirichlet)),
-                grid_shape=sysm.grid_shape))
+        x0 = solve_constrained(sysm)
         node = int(g.face_nodes(2, 1)[0])
         dof = node * 3 + 2
-        sysm.constraints.add_lagrange([dof], [1.0], float(x0[dof]))
-        x, lam = solve_constrained(sysm)
-        assert abs(lam[0]) < 1e-9 * max(1.0, np.abs(sysm.rhs).max())
+        sysm.constraints.fix(node, 2, float(x0[dof]))
+        x = solve_constrained(sysm)
+        assert abs(self._reaction(sysm, x, dof)) < 1e-9 * max(
+            1.0, np.abs(sysm.rhs).max())
         assert np.allclose(x, x0, atol=1e-10)
 
     def test_active_constraint_enforced_exactly(self):
+        # the reaction at a dof fixed at 0 is the point load that holds
+        # the unconstrained system at the same solution
         g, sysm = self._clamped_system()
+        dirichlet = dict(sysm.constraints.dirichlet)
         node = int(g.face_nodes(2, 1)[-1])
         dof = node * 3 + 2
-        sysm.constraints.add_lagrange([dof], [1.0], 0.0)
-        x, lam = solve_constrained(sysm)
-        assert abs(x[dof]) <= 1e-12
-        assert lam[0] != 0.0
+        sysm.constraints.fix(node, 2, 0.0)
+        x = solve_constrained(sysm)
+        assert x[dof] == 0.0
+        mu = self._reaction(sysm, x, dof)
+        assert mu != 0.0
+        rhs = sysm.rhs.copy()
+        rhs[dof] -= mu
+        held = solve_constrained(SparseSystem(
+            sysm.matrix, rhs, ConstraintSet(ncomp=3, dirichlet=dirichlet),
+            grid_shape=sysm.grid_shape))
+        assert np.allclose(held, x, rtol=0.0, atol=1e-10 * np.abs(x).max())
 
     def test_inconsistent_duplicate_raises(self):
+        # a second, conflicting value for a fixed dof is rejected
         g, sysm = self._clamped_system()
         node = int(g.face_nodes(2, 0)[0])
-        sysm.constraints.add_lagrange([node * 3 + 2], [1.0], 1.0)
-        with pytest.raises(SolverError):
-            solve_constrained(sysm)
-
-    def test_dependent_constraints_raise(self):
-        g, sysm = self._clamped_system()
-        node = int(g.face_nodes(2, 1)[0])
-        dof = node * 3 + 2
-        sysm.constraints.add_lagrange([dof], [1.0], 0.0)
-        sysm.constraints.add_lagrange([dof], [2.0], 0.0)
-        with pytest.raises(SolverError):
-            solve_constrained(sysm)
+        sysm.constraints.fix(node, 2, 0.0)
+        with pytest.raises(ValueError, match="conflicting"):
+            sysm.constraints.fix(node, 2, 1.0)
 
 
 class TestEliminationSolver:
@@ -559,10 +552,10 @@ def _measured_reach(system):
     return int(np.abs(r - c).max())
 
 
-def _bending(spacing, point):
-    dom = PlateDomain(1.0, 1.0, spacing, point=(0.5, 0.5))
+def _bending(spacing):
+    dom = PlateDomain(1.0, 1.0, spacing)
     sysm = bending_system(dom, reduced_stiffness(isotropic_stiffness(
-        1.0, 1.0)), enforce_point=point)
+        1.0, 1.0)))
     sysm.rhs = np.random.default_rng(5).normal(size=sysm.n)
     return sysm
 
@@ -616,30 +609,21 @@ class TestNestedDissection:
         for sysm in (assemble_elastic(g2, np.eye(3) + 0.5),
                      assemble_elastic(g3, isotropic_stiffness(1.0, 1.0))):
             assert sysm.grid_reach == _measured_reach(sysm) == 1
-        bend = _bending(1.0 / 8, point=False)
+        bend = _bending(1.0 / 8)
         assert bend.grid_reach == _measured_reach(bend) == 2
 
-    @pytest.mark.parametrize("point", [False, True])
-    def test_bending_solver_matches_spsolve(self, point):
-        sysm = _bending(1.0 / 16, point)
+    def test_bending_solver_matches_spsolve(self):
+        sysm = _bending(1.0 / 16)
         solver = EliminationSolver(sysm)
         free = solver.free
         Kff = sysm.matrix.tocsr()[free][:, free]
-        b = sysm.rhs[free]
-        if point:
-            x, _ = solve_constrained(sysm)
-            col = np.searchsorted(free, sysm.constraints.lagrange[0][0][0])
-            c = sp.csr_matrix(([1.0], ([0], [col])), shape=(1, len(free)))
-            saddle = sp.bmat([[Kff, c.T], [c, None]]).tocsc()
-            ref = spla.spsolve(saddle, np.append(b, 0.0))[:-1]
-        else:
-            x = solver.solve()
-            ref = spla.spsolve(Kff.tocsc(), b)
+        x = solver.solve()
+        ref = spla.spsolve(Kff.tocsc(), sysm.rhs[free])
         assert np.allclose(x[free], ref, rtol=1e-9,
                            atol=1e-9 * np.abs(ref).max())
 
     def test_bending_fill_below_colamd(self):
-        sysm = _bending(1.0 / 64, point=False)
+        sysm = _bending(1.0 / 64)
         solver = EliminationSolver(sysm)
         free = solver.free
         colamd = spla.splu(sysm.matrix.tocsr()[free][:, free].tocsc())

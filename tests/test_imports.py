@@ -2,10 +2,14 @@
 every package definition is reached by a run, a gate or a workload.
 
 The checks read each module of the package and of the test suite with
-``ast``.  An import whose line carries ``# noqa: F401`` is exempt: such a
-name is kept on purpose.  In the package the only such purpose is the
-benchmark tracer, so each of those names must be one that
-``perfbench/tracing.py`` wraps in that module's namespace.
+``ast`` and the standard library's ``symtable``.  An import is used when
+the scope that binds it reads the name, or a nested scope reads it from
+there (as a global for a module-level import, as a free variable for one
+in a function), or an annotation names it; a local of the same name in
+another scope does not count.  An import whose line carries
+``# noqa: F401`` is exempt: such a name is kept on purpose.  In the package
+the only such purpose is the benchmark tracer, so each of those names must
+be one that ``perfbench/tracing.py`` wraps in that module's namespace.
 
 Reachability is a closure over the top-level definitions (``def``,
 ``class`` and assignment) of ``src/platecap``.  Its roots are every
@@ -19,6 +23,7 @@ that list must hold nothing else.
 """
 import ast
 import importlib.util
+import symtable
 from pathlib import Path
 
 import pytest
@@ -54,7 +59,7 @@ def _parse(path):
 
 
 def _imported(tree):
-    """(name bound, line) of every import in the module."""
+    """(name bound, line) of every import in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
@@ -63,6 +68,51 @@ def _imported(tree):
             for a in node.names:
                 if a.name != "*":
                     yield a.asname or a.name, a.lineno
+
+
+def _reads(scope):
+    """Names bound in a ``symtable`` scope that it or a nested scope reads.
+    A nested scope reads a module name as a global and a function's name
+    as a free variable; class scopes do not nest."""
+    module = scope.get_type() == "module"
+    used = {s.get_name() for s in scope.get_symbols() if s.is_referenced()}
+    todo = [] if scope.get_type() == "class" else scope.get_children()
+    while todo:
+        inner = todo.pop()
+        used.update(s.get_name() for s in inner.get_symbols()
+                    if s.is_referenced()
+                    and (s.is_global() if module else s.is_free()))
+        todo += inner.get_children()
+    return used
+
+
+def _unused_imports(path, tree):
+    """(name, line) of every import that the scope binding it never reads.
+    Names in annotations count as read: under ``from __future__ import
+    annotations`` they are never evaluated, so ``symtable`` omits them."""
+    noted = {n.id for node in ast.walk(tree)
+             for note in (getattr(node, "annotation", None),
+                          getattr(node, "returns", None)) if note is not None
+             for n in ast.walk(note) if isinstance(n, ast.Name)}
+
+    def visit(body, scope):
+        used = _reads(scope) | noted
+        inner = {(t.get_name(), t.get_lineno()): t
+                 for t in scope.get_children()}
+        todo = list(body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                yield from visit(node.body, inner[node.name, node.lineno])
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from ((name, ln) for name, ln in _imported(node)
+                            if name not in used)
+            else:
+                todo.extend(ast.iter_child_nodes(node))
+
+    yield from visit(tree.body, symtable.symtable(
+        path.read_text(), str(path), "exec"))
 
 
 def _exported(tree):
@@ -114,10 +164,8 @@ def _identifiers(tree, strings=False):
 def test_imports_used_and_exports_defined(path):
     lines, tree = _parse(path)
     exported = _exported(tree)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    used.update(exported)
-    unused = [f"{name} (line {ln})" for name, ln in _imported(tree)
-              if name not in used and NOQA not in lines[ln - 1]]
+    unused = [f"{name} (line {ln})" for name, ln in _unused_imports(path, tree)
+              if name not in exported and NOQA not in lines[ln - 1]]
     assert not unused, f"unused imports in {path.name}: {unused}"
     bound = set(_bound_at_top(tree))
     undefined = [n for n in exported if n not in bound]

@@ -9,7 +9,7 @@ from platecap.elastic import (isotropic_stiffness, isotropic_stiffness_exact,
                               reduced_stiffness, reduced_stiffness_exact)
 from platecap.fem import ConstraintSet, SolverError, assemble_elastic
 from platecap.kirchhoff import (DomainError, KirchhoffSolution,
-                                PlateDomain, bending_system,
+                                PlateDomain, _node_weights, bending_system,
                                 bending_table_float, load_from_spec,
                                 manufactured_bending, manufactured_membrane,
                                 operator_coefficients, solution_csv,
@@ -174,7 +174,7 @@ class TestBending:
         for n in (8, 16, 32):
             dom = PlateDomain(1.0, 1.0, 1.0 / n)
             w_exact, g3 = manufactured_bending(dom, ben)
-            w3, mult, _ = solve_bending(dom, A0_ISO, g3, enforce_point=False)
+            w3, mult, _ = solve_bending(dom, A0_ISO, g3)
             assert mult == 0.0
             errs.append(np.abs(w3 - w_exact(dom.grid.nodes())).max())
         rates = np.log2(np.array(errs[:-1]) / errs[1:])
@@ -187,14 +187,14 @@ class TestBending:
         for n in (8, 16, 32):
             dom = PlateDomain(1.0, 1.0, 1.0 / n)
             w_exact, g3 = manufactured_bending(dom, ben)
-            w3, _, _ = solve_bending(dom, A0_ANISO, g3, enforce_point=False)
+            w3, _, _ = solve_bending(dom, A0_ANISO, g3)
             errs.append(np.abs(w3 - w_exact(dom.grid.nodes())).max())
         rates = np.log2(np.array(errs[:-1]) / errs[1:])
         assert (rates > 1.9).all()
 
     def test_operator_symmetric_definite(self):
         d = PlateDomain(1.0, 1.0, 1.0 / 6)
-        system = bending_system(d, A0_ANISO, enforce_point=False)
+        system = bending_system(d, A0_ANISO)
         K = system.matrix
         assert abs(K - K.T).max() < 1e-13 * abs(K).max()
         fixed, _ = system.constraints.dirichlet_dofs()
@@ -232,17 +232,16 @@ class TestBending:
         import platecap.kirchhoff as kirchhoff
         solve = kirchhoff.solve_constrained
 
-        def perturbed(system, tol):
-            x, lam = solve(system, tol=tol)
+        def perturbed(system):
+            x = solve(system)
             x[np.argmax(np.abs(x))] *= 1.0 + 1e-6
-            return x, lam
+            return x
 
         monkeypatch.setattr(kirchhoff, "solve_constrained", perturbed)
-        d = PlateDomain(1.0, 1.0, 1.0 / 16, point=(0.5, 0.5))
-        for point in (False, True):
+        for point in (None, (0.5, 0.5)):
+            d = PlateDomain(1.0, 1.0, 1.0 / 16, point=point)
             with pytest.raises(SolverError, match="backward error"):
-                solve_bending(d, A0_ISO, np.ones(d.grid.n_nodes),
-                              enforce_point=point)
+                solve_bending(d, A0_ISO, np.ones(d.grid.n_nodes))
 
     def test_point_support_enforced(self):
         d = PlateDomain(1.0, 1.0, 1.0 / 16, point=(0.5, 0.5))
@@ -261,9 +260,10 @@ class TestBending:
         assert np.abs(w3).max() > 1e-5
 
     def test_point_constraint_raises_energy(self):
+        free = PlateDomain(1.0, 1.0, 1.0 / 12)
         d = PlateDomain(1.0, 1.0, 1.0 / 12, point=(0.5, 0.5))
         g = np.ones(d.grid.n_nodes)
-        _, _, e_free = solve_bending(d, A0_ISO, g, enforce_point=False)
+        _, _, e_free = solve_bending(free, A0_ISO, g)
         _, _, e_con = solve_bending(d, A0_ISO, g)
         assert e_con >= e_free - 1e-15
 
@@ -284,10 +284,28 @@ class TestBending:
         rates = np.log2(np.array(gaps[:-1]) / gaps[1:])
         print(f"point-support refinement rates: {rates.round(2)}")
 
-    def test_missing_point_rejected(self):
-        d = PlateDomain(1.0, 1.0, 0.25)
-        with pytest.raises(DomainError):
-            solve_bending(d, A0_ISO, np.ones(d.grid.n_nodes))
+    @pytest.mark.parametrize("A0", [A0_ISO, A0_ANISO], ids=["iso", "aniso"])
+    def test_reaction_matches_kkt(self, A0):
+        # dense saddle point over the interior nodes of the full matrix:
+        # [K c; c^T 0] (w, lam) = (b, 0), c the unit row of the support
+        d = PlateDomain(1.0, 1.0, 1.0 / 16, point=(0.5, 0.5))
+        pts = d.grid.nodes()
+        g = 1.0 + pts[:, 0] * (1.0 - 2.0 * pts[:, 1])
+        w3, mult, _ = solve_bending(d, A0, g)
+        system = bending_system(d, A0)
+        inner = np.setdiff1d(np.arange(system.n), d.boundary_nodes())
+        n = len(inner)
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = system.matrix.toarray()[np.ix_(inner, inner)]
+        col = np.searchsorted(inner, d.point_node)
+        kkt[col, n] = kkt[n, col] = 1.0
+        rhs = np.append(_node_weights(d)[inner] * g[inner], 0.0)
+        ref = np.linalg.solve(kkt, rhs)
+        assert np.abs(w3[d.boundary_nodes()]).max() == 0.0
+        np.testing.assert_allclose(w3[inner], ref[:n], rtol=1e-9,
+                                   atol=1e-9 * np.abs(ref[:n]).max())
+        assert mult == pytest.approx(ref[n], rel=1e-9)
+        assert abs(mult) > 1e-3
 
 
 class TestLoadsAndOutput:
