@@ -9,11 +9,13 @@ on the unit circle,
     Phi'(y)  = -(1/4 pi^2) int M(w)^{-1} ln|w.y| dw
     Phi_3(y) = +(1/8 pi^2) int m3(w)^{-1} (w.y)^2 ln|w.y| dw
 
-up to the free additive terms (a constant matrix, resp. a quadratic).  The
-angular integrals reduce to circular convolutions with ln|cos u| and
-cos^2 u ln|cos u|, whose Fourier series are known in closed form, so every
-angular function is stored as one array of Fourier coefficients and all
-derivatives are exact in that representation.
+up to the free additive terms (a constant matrix, resp. a quadratic):
+`normalize_membrane` fixes the constant by the energy pairing, and the gauge
+stated at `FundamentalBending` fixes the quadratic.  The angular integrals
+reduce to circular convolutions with ln|cos u| and cos^2 u ln|cos u|, whose
+Fourier series are known in closed form, so every angular function is stored
+as one array of Fourier coefficients and all derivatives are exact in that
+representation.
 
 For anisotropic A0 the reciprocal symbol 1/m3 carries a second harmonic and
 the ln r coefficient of Phi_3 is genuinely angular; the scalar number quoted
@@ -69,7 +71,12 @@ def _samples(c: np.ndarray) -> np.ndarray:
 
 
 def _coeffs(vals: np.ndarray) -> np.ndarray:
-    return np.fft.fft(vals) / len(vals)
+    # the FFT leaves round-off of about n eps times the largest coefficient
+    # in harmonics the symbol lacks; cut it, so that _eval_fourier sums only
+    # the harmonics that are there (three per isotropic symbol entry)
+    c = np.fft.fft(vals) / len(vals)
+    c[np.abs(c) <= len(c) * np.finfo(float).eps * np.abs(c).max()] = 0.0
+    return c
 
 
 def _eval_fourier(c: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -196,6 +203,16 @@ class FundamentalMembrane:
 
 @dataclass
 class FundamentalBending:
+    """Phi3 = r^2 (a(phi) ln r + b(phi)), a in `log_coeff`, b in `psi3`.
+
+    Gauge: harmonics 0 and +-2 of b are zero.  Phi3 is fixed only up to a
+    quadratic, and y1^2, y1 y2, y2^2 are r^2 times cos^2, cos sin, sin^2,
+    which span exactly harmonics 0 and +-2 of b.  Zeroing them fixes the
+    three free constants.  A rotation of A0 rotates b, which keeps each
+    harmonic in place, so the gauge is rotation covariant; for isotropic A0
+    b = 0, and Phi3 = c3 r^2 ln r is the closed form.
+    """
+
     Psi3: float              # -2 x mean of the ln r coefficient of r^{-2} Phi3
     log_coeff: np.ndarray    # Fourier coeffs of the full ln r coefficient
     psi3: np.ndarray         # Fourier coeffs of the plain angular part
@@ -273,57 +290,19 @@ def _d3(w1, w2):
     return np.array([w1 ** 2 / SQ2, w2 ** 2 / SQ2, w1 * w2])
 
 
-def isotropic_reduced_parameters(A0, tol: float = 1e-12):
-    """(lambda', mu) when A0 matches the isotropic pattern, else None."""
-    A0 = np.asarray(A0, dtype=float)
-    lp, mu2 = A0[0, 1], A0[2, 2]
-    pattern = np.array([[lp + mu2, lp, 0.0], [lp, lp + mu2, 0.0],
-                        [0.0, 0.0, mu2]])
-    scale = np.abs(A0).max()
-    if np.abs(A0 - pattern).max() <= tol * scale and mu2 > 0 and lp >= 0:
-        return lp, mu2 / 2.0
-    return None
-
-
-def construct_fundamental(A0, n_angular: int = 1024,
-                          force_quadrature: bool = False):
+def construct_fundamental(A0, n_angular: int = 1024):
     """Build (FundamentalMembrane, FundamentalBending) for a reduced
     stiffness, then check the defining contour identities."""
     A0 = np.asarray(A0, dtype=float)
     if np.linalg.eigvalsh(0.5 * (A0 + A0.T)).min() <= 0:
         raise InvalidMaterial("reduced stiffness must be positive definite")
-    n = int(n_angular)
-    iso = None if force_quadrature else isotropic_reduced_parameters(A0)
-    if iso is not None:
-        mem, bend = _closed_form_fundamental(*iso, n)
-    else:
-        mem, bend = _quadrature_fundamental(A0, n)
+    mem, bend = _quadrature_fundamental(A0, int(n_angular))
     mem = normalize_membrane(mem, A0)
     report = verify_contour_identities((mem, bend), A0, 1.0)
     if report.max_defect > 1e-6:
         raise ConstructionError(
             f"identity {report.worst!r} defect {report.max_defect:.3e}",
             report)
-    return mem, bend
-
-
-def _closed_form_fundamental(lp, mu, n):
-    pref = (lp + 3 * mu) / (4 * math.pi * mu * (lp + 2 * mu))
-    beta = (lp + mu) / (lp + 3 * mu)
-    Psi = -pref * np.eye(2)
-    psi = np.zeros((2, 2, n), dtype=complex)
-    # cos^2, sin^2 and cos sin as harmonics 0, +-2
-    psi[0, 0][[0, 2, -2]] = pref * beta * np.array([0.5, 0.25, 0.25])
-    psi[1, 1][[0, 2, -2]] = pref * beta * np.array([0.5, -0.25, -0.25])
-    psi[0, 1][[2, -2]] = pref * beta * np.array([-0.25j, 0.25j])
-    psi[1, 0] = psi[0, 1]
-    mem = FundamentalMembrane(Psi=Psi, psi=psi, n=n)
-    # lam' = 2 lam mu / (lam + 2 mu)  =>  lam = 2 lam' mu / (2 mu - lam')
-    lam = 2 * lp * mu / (2 * mu - lp)
-    c3 = 3 * (lam + 2 * mu) / (8 * math.pi * mu * (lam + mu))
-    bend = FundamentalBending(Psi3=-2.0 * c3,
-                              log_coeff=_const_coeffs(c3, n),
-                              psi3=np.zeros(n, dtype=complex), n=n)
     return mem, bend
 
 
@@ -351,6 +330,7 @@ def _quadrature_fundamental(A0, n):
     f3 = _coeffs(m3inv)
     log_coeff = f3 * c2 / (4 * math.pi)
     psi3 = f3 * h / (4 * math.pi)
+    psi3[[0, 2, -2]] = 0.0                # the gauge of FundamentalBending
     mem = FundamentalMembrane(Psi=Psi, psi=psi, n=n)
     bend = FundamentalBending(Psi3=-2.0 * log_coeff[0].real,
                               log_coeff=log_coeff, psi3=psi3, n=n)

@@ -499,6 +499,19 @@ class TestCapacityInvariances:
         dC = np.abs(cap.C - cap2.C)
         assert (dC <= cap.error_bars + cap2.error_bars).all()
 
+    def test_continuous_across_isotropic_pattern(self, coarse_run):
+        # the tilt block of C depends on the gauge of Phi3; one gauge for
+        # every material keeps C continuous where A leaves the isotropic
+        # pattern
+        cap, _, mesh = coarse_run
+        A = np.array([[float(x) for x in row] for row in A1])
+        A[0, 0] *= 1.0 + 1e-7
+        ops_near = build_dimension_reduction(A)
+        A0 = np.array([[float(x) for x in r] for r in ops_near.reduced])
+        phi_near = PhiSharp(*construct_fundamental(A0, n_angular=64))
+        cap_near, _ = extract_capacity(mesh, A, phi_near, ops_near)
+        assert np.abs(cap_near.C - cap.C).max() <= 1e-6
+
 
 def _corrupt_fits(monkeypatch, good: int, corrupt):
     """Let the first `good` annulus fits through and pass the coefficients
