@@ -38,7 +38,8 @@ from .elastic import (InvalidMaterial, check_stiffness, isotropic_stiffness,
                       isotropic_stiffness_exact, material_from_json,
                       reduced_stiffness)
 from .fem import MeshError, SolverError
-from .fundamental import construct_fundamental, verify_contour_identities
+from .fundamental import (ConstructionError, construct_fundamental,
+                          verify_contour_identities)
 from .inequalities import (HARDY_VARIANTS, NORM_VARIANTS, ContractError,
                            SupportLayout, hardy_constant, hardy_ratio,
                            korn_constant, korn_csv)
@@ -47,8 +48,7 @@ from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         solution_csv, solve_bending, solve_membrane,
                         solve_plate)
 from .layer import (ExtractionError, capacity_json, check_matching_window,
-                    decay_csv, extract_capacity, layer_mesh,
-                    symmetry_and_decay_report)
+                    decay_csv, decay_trace, extract_capacity, layer_mesh)
 from .polyfield import Poly, PolyField, Q2, mat_to_float
 from .reduction import (ReductionError, bending_table_direct,
                         build_dimension_reduction, membrane_table_direct,
@@ -713,8 +713,7 @@ def run_capacity(cfg: ExperimentConfig):
              cap.symmetry_defect, cap.iterations.tolist(), cap.warning)
     outputs = {cfg.output: capacity_json(cap)}
     if p["decay_output"]:
-        report = symmetry_and_decay_report(cap, pot)
-        outputs[str(p["decay_output"])] = decay_csv(report)
+        outputs[str(p["decay_output"])] = decay_csv(decay_trace(pot))
     failures = []
     if not cap.converged.all():
         failures.append("capacity: fixed point did not converge on all "
@@ -820,7 +819,8 @@ def _main(argv) -> int:
         return 0
     try:
         outputs, failures = RUNNERS[cfg.kind](cfg)
-    except (SolverError, ExtractionError, ReductionError) as e:
+    except (SolverError, ExtractionError, ReductionError,
+            ConstructionError) as e:
         print(f"platecap: FAIL {cfg.kind}: {type(e).__name__}: {e}",
               file=sys.stderr)
         return 1

@@ -68,14 +68,14 @@ def isotropic_stiffness(lam: float, mu: float) -> np.ndarray:
     return mat_to_float(isotropic_stiffness_exact(Q(lam), Q(mu)))
 
 
-def check_stiffness(A: np.ndarray, tol: float = 1e-10) -> None:
+def check_stiffness(A: np.ndarray) -> None:
     A = np.asarray(A, dtype=float)
     if A.shape != (6, 6):
         raise InvalidMaterial("stiffness must be 6x6")
-    if not np.allclose(A, A.T, atol=tol):
+    if not np.allclose(A, A.T, atol=1e-10):
         raise InvalidMaterial("stiffness must be symmetric")
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    if w.min() <= tol * max(1.0, w.max()):
+    if w.min() <= 1e-10 * max(1.0, w.max()):
         raise InvalidMaterial("stiffness must be positive definite")
 
 
@@ -163,11 +163,11 @@ def strain_matrix_exact(a):
     ]
 
 
-def strain_of_polyfield(u: PolyField, zeta_axis: int = 2):
-    """Exact strain column of a PolyField; derivatives (d1, d2, d_axis3)."""
+def strain_of_polyfield(u: PolyField):
+    """Exact strain column of a PolyField; derivatives (d1, d2, d3)."""
     d1 = [c.diff(0) for c in u]
     d2 = [c.diff(1) for c in u]
-    d3 = [c.diff(zeta_axis) for c in u]
+    d3 = [c.diff(2) for c in u]
     s = INV_SQRT2
     return [
         d1[0],
@@ -213,8 +213,6 @@ def rigid_polyfield(c: Sequence) -> PolyField:
 def _to_exact_matrix(A):
     if isinstance(A, np.ndarray):
         return [[Q2.of(Q(x)) for x in row] for row in A.tolist()]
-    if all(type(x) is Q2 for row in A for x in row):
-        return A
     return [[Q2.of(x) for x in row] for row in A]
 
 
@@ -272,31 +270,30 @@ def layer_operator_parts(A, u: PolyField, which: str,
 
     With symbol=True, u is a symbol: its variables 0 and 1 are read as
     (s1, s2), and d/dy_k becomes multiplication by s_k; zeta stays a real
-    variable.
+    variable.  The entries of A may be exact or binary floats: each product
+    converts its coefficient exactly (``polyfield.lincomb``).
     """
     if which not in ("L0", "L1", "L2", "N0+", "N0-", "N1+", "N1-"):
         raise ValueError(f"unknown operator part {which!r}")
-    Ae = _to_exact_matrix(A)
     if which == "L0":
-        sigma = mat_apply(Ae, _strain_zeta(u))
+        sigma = mat_apply(A, _strain_zeta(u))
         return PolyField([-p for p in _div_zeta(sigma)])
     if which == "L1":
-        t1 = _div_zeta(mat_apply(Ae, _strain_y(u, symbol)))
-        t2 = _div_y(mat_apply(Ae, _strain_zeta(u)), symbol)
+        t1 = _div_zeta(mat_apply(A, _strain_y(u, symbol)))
+        t2 = _div_y(mat_apply(A, _strain_zeta(u)), symbol)
         return PolyField([-(a + b) for a, b in zip(t1, t2)])
     if which == "L2":
-        sigma = mat_apply(Ae, _strain_y(u, symbol))
+        sigma = mat_apply(A, _strain_y(u, symbol))
         return PolyField([-p for p in _div_y(sigma, symbol)])
     strain = (_strain_zeta(u) if which.startswith("N0")
               else _strain_y(u, symbol))
     return PolyField(mat_apply(_FACE_TRACTION[which[-1]],
-                               mat_apply(Ae, strain)))
+                               mat_apply(A, strain)))
 
 
 def full_operator(A, u: PolyField) -> PolyField:
     """L(grad)u = D(-grad)^T A D(grad)u with the third variable read as z."""
-    Ae = _to_exact_matrix(A)
-    sigma = mat_apply(Ae, strain_of_polyfield(u))
+    sigma = mat_apply(A, strain_of_polyfield(u))
     dy = _div_y(sigma)
     dz = _div_zeta(sigma)
     return PolyField([-(a + b) for a, b in zip(dy, dz)])

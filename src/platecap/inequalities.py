@@ -6,7 +6,9 @@ Three groups of tools:
   sampled piecewise-linear functions;
 * Korn-constant estimation on a thin box as the smallest generalized
   eigenvalue of (strain energy, weighted anisotropic norm), under lateral
-  and/or small-support clamping;
+  and/or small-support clamping; the norm's weights are the edge weight
+  (thickness plus distance to the boundary) and the support weight
+  (log-damped inverse distance to the nearest support);
 * explicit test fields whose energy/norm ratios certify that the weight
   logarithms and the support-count threshold cannot be dropped.
 """
@@ -101,34 +103,8 @@ def hardy_ratio(x, u, variant: str, h: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# weight functions on a rectangle
+# edge and support weights of the anisotropic norms
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight on the rectangle (0, a) x (0, b).
-
-    kind "edge": thickness plus distance to the boundary.
-    kind "support": inverse regularized distance to one support center,
-    damped by the logarithm; order q in {1, 2}.
-    kind "multi-support": max of the "support" weight over all centers.
-    """
-    h: float
-    kind: str
-    q: int = 1
-    rect: tuple = (1.0, 1.0)
-    centers: tuple = ()
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ContractError("thickness must be positive")
-        if self.kind not in ("edge", "support", "multi-support"):
-            raise ContractError(f"unknown weight kind {self.kind!r}")
-        if self.q not in (1, 2):
-            raise ContractError("order q must be 1 or 2")
-        if self.kind == "multi-support" and not self.centers:
-            raise ContractError("multi-support weight needs centers")
-
 
 def boundary_distance(rect, y):
     a, b = rect
@@ -137,23 +113,21 @@ def boundary_distance(rect, y):
     return np.minimum(np.minimum(y1, a - y1), np.minimum(y2, b - y2))
 
 
-def _support_weight(h: float, q: int, d: np.ndarray) -> np.ndarray:
-    s2 = h * h + d
-    return s2 ** (-q / 2.0) / (1.0 + np.abs(np.log(s2)))
+def edge_weight(h: float, rect, y) -> np.ndarray:
+    """Thickness plus distance to the boundary of the rectangle
+    (0, a) x (0, b), at points y of shape (..., 2)."""
+    return h + boundary_distance(rect, y)
 
 
-def weights_eval(spec: WeightSpec, y):
-    """Evaluate the weight at points y of shape (..., 2)."""
+def support_weight(h: float, q: int, centers, y) -> np.ndarray:
+    """Largest over the centers of the inverse regularized distance
+    (h^2 + |y - c|^2)^(-q/2), damped by its logarithm; order q in {1, 2},
+    at points y of shape (..., 2)."""
     y = np.asarray(y, dtype=float)
-    if spec.kind == "edge":
-        return spec.h + boundary_distance(spec.rect, y)
-    if spec.kind == "support":
-        c = np.asarray(spec.centers[0] if spec.centers else (0.0, 0.0))
-        d = np.sum((y - c) ** 2, axis=-1)
-        return _support_weight(spec.h, spec.q, d)
-    vals = [_support_weight(spec.h, spec.q,
-                            np.sum((y - np.asarray(c)) ** 2, axis=-1))
-            for c in spec.centers]
+    vals = []
+    for c in centers:
+        s2 = h * h + np.sum((y - np.asarray(c)) ** 2, axis=-1)
+        vals.append(s2 ** (-q / 2.0) / (1.0 + np.abs(np.log(s2))))
     return np.maximum.reduce(vals)
 
 
@@ -224,24 +198,20 @@ def _norm_weights(layout: SupportLayout, variant: str,
         v12, v3 = np.ones(n), np.full(n, h * h)
         dy3 = dz12 = np.full(n, h * h)
     elif variant == "edge-weighted":
-        s = weights_eval(WeightSpec(h, "edge", rect=layout.rect), y)
+        s = edge_weight(h, layout.rect, y)
         v12 = s ** -2.0
         v3 = h * h * s ** -4.0
         dy3 = dz12 = h * h * s ** -2.0
     elif variant == "support-weighted":
-        s = weights_eval(WeightSpec(h, "edge", rect=layout.rect), y)
-        S1 = weights_eval(WeightSpec(h, "multi-support", q=1,
-                                     centers=layout.centers), y)
-        S2 = weights_eval(WeightSpec(h, "multi-support", q=2,
-                                     centers=layout.centers), y)
+        s = edge_weight(h, layout.rect, y)
+        S1 = support_weight(h, 1, layout.centers, y)
+        S2 = support_weight(h, 2, layout.centers, y)
         v12 = (S1 / s) ** 2
         v3 = h * h * S2 ** 2 * s ** -4.0
         dy3 = dz12 = h * h * (S1 / s) ** 2
     elif variant == "free-edge":
-        S1 = weights_eval(WeightSpec(h, "multi-support", q=1,
-                                     centers=layout.centers), y)
-        S2 = weights_eval(WeightSpec(h, "multi-support", q=2,
-                                     centers=layout.centers), y)
+        S1 = support_weight(h, 1, layout.centers, y)
+        S2 = support_weight(h, 2, layout.centers, y)
         v12 = S1 ** 2
         v3 = h * h * S2 ** 2
         dy3 = dz12 = h * h * S1 ** 2
@@ -296,11 +266,11 @@ def korn_system(layout: SupportLayout, material, variant: str,
 
 
 def korn_constant(layout: SupportLayout, material, variant: str,
-                  resolution: int = 2, nz: int = 3,
-                  tol: float = 1e-6) -> KornEstimate:
-    """Korn constant as 1/sqrt of the smallest eigenvalue of (K, M)."""
+                  resolution: int = 2, nz: int = 3) -> KornEstimate:
+    """Korn constant as 1/sqrt of the smallest eigenvalue of (K, M), whose
+    eigen residual is at most smallest_eigenpair's default 1e-6."""
     K, M, grid = korn_system(layout, material, variant, resolution, nz)
-    lam, _, res = smallest_eigenpair(K, M, tol=tol)
+    lam, _, res = smallest_eigenpair(K, M)
     return KornEstimate(h=layout.h, J=layout.J, mode=layout.mode,
                         variant=variant, constant=lam ** -0.5,
                         lambda_min=lam, mesh_cells=grid.n_elements,
@@ -366,7 +336,7 @@ def _bump_slope(t):
     return out
 
 
-def optimality_witness(which: str, h: float, R: float = 1.0):
+def optimality_witness(which: str, h: float):
     """Energy and norm of an explicit displacement field, by quadrature.
 
     which = "log-weight": both in-plane components equal a smooth bump of
@@ -376,7 +346,7 @@ def optimality_witness(which: str, h: float, R: float = 1.0):
     ratio certifies that the logarithm in the support weight is necessary.
 
     which = "rotation": an in-plane rotation about one support, cut off
-    inside radius 2hR and extended across the unit disk; returns (strain
+    inside radius 2h and extended across the unit disk; returns (strain
     energy ~ h^3, squared displacement norm ~ h), certifying power-law
     growth of the single-support Korn constant.
 
@@ -410,19 +380,19 @@ def optimality_witness(which: str, h: float, R: float = 1.0):
         return energy, norm
 
     if which == "rotation":
-        if not 0.0 < 2.0 * h * R < 0.5:
+        if not 0.0 < 2.0 * h < 0.5:
             raise ContractError("cutoff annulus must fit inside the domain")
-        # energy lives on the annulus hR < r < 2hR where the cutoff varies
-        r1, r2 = 0.5 * h * R, 2.5 * h * R
+        # energy lives on the annulus h < r < 2h where the cutoff varies
+        r1, r2 = 0.5 * h, 2.5 * h
         r = np.linspace(r1, r2, n_radial)
         dr = r[1] - r[0]
-        gp = -cutoff_slope(r / (2.0 * h * R)) / (2.0 * h * R)
+        gp = -cutoff_slope(r / (2.0 * h)) / (2.0 * h)
         # angular averages of the strain pattern of g(r) * (-y2, y1):
         # |strain|^2 = g'^2 r^2 (2 cos^2 sin^2 + (cos^2 - sin^2)^2 / 2)
         energy = h * math.pi * float(np.sum(gp ** 2 * r ** 3) * dr)
         rn = np.linspace(0.0, 1.0, n_radial)
         drn = rn[1] - rn[0]
-        gn = 1.0 - cutoff(rn / (2.0 * h * R))
+        gn = 1.0 - cutoff(rn / (2.0 * h))
         norm = h * 2.0 * math.pi * float(np.sum(gn ** 2 * rn ** 3) * drn)
         return energy, norm
 
@@ -461,8 +431,6 @@ def optimality_witness(which: str, h: float, R: float = 1.0):
                 grad += (slopes[k] * other)[:, None] * units[k]
             return u, grad
 
-        spec = WeightSpec(h, "multi-support", q=1, rect=rect,
-                          centers=tuple(tuple(c) for c in cs))
         energy = 0.0
         norm = 0.0
         # polar patches resolve the logarithmic ramp around each center
@@ -478,7 +446,7 @@ def optimality_witness(which: str, h: float, R: float = 1.0):
             w = r[:, None] * r[:, None] * dlr * dphi   # r dr dphi, log grid
             e = grad[:, 0] ** 2 + 0.5 * grad[:, 1] ** 2
             energy += float(np.sum(e.reshape(len(r), -1) * w))
-            Sv = weights_eval(spec, pts.reshape(-1, 2))
+            Sv = support_weight(h, 1, cs, pts.reshape(-1, 2))
             norm += float(np.sum((Sv ** 2 * u ** 2).reshape(len(r), -1) * w))
         # cartesian far field (outside the patches): the ramp is constant 1
         n = 400
@@ -489,7 +457,7 @@ def optimality_witness(which: str, h: float, R: float = 1.0):
         keep = np.ones(len(P), dtype=bool)
         for c in cs:
             keep &= np.sum((P - c) ** 2, axis=-1) > patch ** 2
-        Sv = weights_eval(spec, P[keep])
+        Sv = support_weight(h, 1, cs, P[keep])
         cell = (rect[0] / n) * (rect[1] / n)
         norm += float(np.sum(Sv ** 2) * cell)
         return h * energy, h * norm

@@ -17,7 +17,9 @@ solve an affine fixed-point equation x = fit(solve(outer data built from
 x)); solve, interpolation and fit are all linear, so the extraction
 measures the affine map directly (one solve per closure field), closes the
 resulting 21x21 system, and finishes with literal fixed-point sweeps whose
-recorded deltas certify the contraction.
+recorded deltas certify the contraction.  The decay trace then samples what
+the matched fields leave over, the boundary layer, on circles around the
+patch.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ __all__ = [
     "LayerMesh", "layer_mesh", "rigid_sharp", "grid_interpolate",
     "v01_norm", "FarFieldExpansion", "FitResult", "ExtractionError",
     "CapacityMatrix", "PotentialSolution",
-    "check_matching_window", "extract_capacity", "DecayReport",
-    "symmetry_and_decay_report", "capacity_json", "decay_csv",
+    "check_matching_window", "extract_capacity", "DecayTrace",
+    "decay_trace", "capacity_json", "decay_csv",
 ]
 
 
@@ -428,7 +430,7 @@ class FarFieldExpansion:
 # ---------------------------------------------------------------------------
 
 # The annulus quadrature has _N_ANGULAR angles and _N_RADIAL shells; 6 shells
-# make the fit's three radial sub-bands two shells each.  The decay report
+# make the fit's three radial sub-bands two shells each.  The decay trace
 # cuts the template off at _CHI_SCALE patch radii.
 _N_ANGULAR = 48
 _N_RADIAL = 6
@@ -449,7 +451,6 @@ class FitResult:
     bars: np.ndarray       # per-coefficient error bars (4,)
     spread: np.ndarray     # per-coefficient radial sub-band spread (4,)
     coef: np.ndarray       # full coefficient vector incl. any extras
-    band_residuals: np.ndarray  # (3,) weighted rms misfit per radial sub-band
 
 
 def _gram_solver(G: np.ndarray):
@@ -489,16 +490,14 @@ class _AnnulusFitter:
     further exact basis fields to the regression; the first four
     coefficients stay the rigid drift.
 
-    The radial shells split into (at most) three contiguous sub-bands, the
-    thirds of the annulus when n_radial is a multiple of three; each fit
-    reports its band refits and its misfit per band.  The trilinear stencil
-    of the quadrature points is built once; ``stencil_nodes`` lists the
-    mesh nodes it reads."""
+    The _N_RADIAL radial shells split into three contiguous sub-bands, the
+    thirds of the annulus; each fit reports the spread of its band refits.
+    The trilinear stencil of the quadrature points is built once;
+    ``stencil_nodes`` lists the mesh nodes it reads."""
 
-    def __init__(self, mesh: LayerMesh, annulus=(0.55, 0.8),
-                 n_radial: int = _N_RADIAL, extra=None):
+    def __init__(self, mesh: LayerMesh, annulus=(0.55, 0.8), extra=None):
         a0, a1 = annulus
-        n_angular = _N_ANGULAR
+        n_radial, n_angular = _N_RADIAL, _N_ANGULAR
         _check_annulus(a0, a1)
         nt = mesh.n_z
         T = mesh.T
@@ -534,13 +533,12 @@ class _AnnulusFitter:
         # are contiguous blocks of the point ordering
         per_shell = n_angular * nt
         self._bands = []
-        for g in np.array_split(np.arange(n_radial), min(3, n_radial)):
+        for g in np.array_split(np.arange(n_radial), 3):
             sel = np.concatenate([np.arange(s * per_shell,
                                             (s + 1) * per_shell) for s in g])
             G = np.einsum("q,qim,qin->mn", self.weights[sel], Bs[sel],
                           Bs[sel])
-            self._bands.append((sel, float(self.weights[sel].sum()),
-                                _gram_solver(G)))
+            self._bands.append((sel, _gram_solver(G)))
 
     def fit_samples(self, samples: np.ndarray) -> FitResult:
         """samples (nq,3): the field minus any template, already evaluated
@@ -557,18 +555,15 @@ class _AnnulusFitter:
         misfit = samples - np.einsum("qim,m->qi", self.B, coef)
         res = self.rms(misfit)
         drift = self.rms(np.einsum("qia,a->qi", self.D, coef[:4]))
-        sq = self.weights * (misfit ** 2).sum(1)
         spread = np.zeros(self.m)
-        band_res = []
-        for sel, total, (bsolve, _) in self._bands:
+        for sel, (bsolve, _) in self._bands:
             yb = bsolve(np.einsum("q,qim,qi->m", self.weights[sel],
                                   self._Bs[sel], samples[sel]))
             spread = np.maximum(spread, np.abs(yb / self.colscale - coef))
-            band_res.append(math.sqrt(max(sq[sel].sum() / total, 0.0)))
         lsq = res * np.sqrt(self._solve[1] * self.total) / self.colscale
         return FitResult(c=coef[:4], residual=res, drift=drift,
                          bars=(lsq + spread)[:4], spread=spread[:4],
-                         coef=coef, band_residuals=np.array(band_res))
+                         coef=coef)
 
     def interpolate(self, values: np.ndarray) -> np.ndarray:
         return _apply_stencil(self._stencil, values)
@@ -642,7 +637,6 @@ class PotentialSolution:
     c: np.ndarray                 # (4,4) converged drift coefficients
     x: np.ndarray                 # (m,4) full closure coefficients
     expansion: FarFieldExpansion
-    band_residuals: np.ndarray    # (4, 3) final misfit per fit sub-band
 
 
 def check_matching_window(mesh: LayerMesh, annulus) -> None:
@@ -694,8 +688,7 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                             "defining contour identities for this "
                             f"material (defect {report.max_defect:.3e})")
 
-    # _N_RADIAL is read here, not through the default, which binds at import
-    fitter = _AnnulusFitter(mesh, annulus=annulus, n_radial=_N_RADIAL,
+    fitter = _AnnulusFitter(mesh, annulus=annulus,
                             extra=expansion.enrichment_basis)
     grid = mesh.grid
     nodes = grid.nodes()
@@ -841,9 +834,7 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                          theta_spec=mesh.theta_spec, material=Amat,
                          annulus=(float(a0), float(a1)))
     pot = PotentialSolution(mesh=mesh, columns=columns, histories=histories,
-                            c=C, x=X, expansion=expansion,
-                            band_residuals=np.stack([fit.band_residuals
-                                                     for fit in fits]))
+                            c=C, x=X, expansion=expansion)
     return cap, pot
 
 
@@ -852,39 +843,25 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class DecayReport:
-    """Symmetry and remainder-decay diagnostics of one extraction."""
+class DecayTrace:
+    """Remainder norms of one extraction on circles around the patch."""
 
-    C: np.ndarray
-    C_symmetrized: np.ndarray
-    symmetry_defect: float
     radii: np.ndarray             # trace radii
     row_norms: np.ndarray         # (3, _DECAY_RADII) remainder norms
-    growth_exponents: np.ndarray  # (3,) log-log slopes over the window
-    window: tuple                 # radii used for the slopes
-    band_radii: np.ndarray        # (3,) central radii of the fit sub-bands
-    band_residuals: np.ndarray    # (3,) rms residual of the converged fit
 
 
-# trace circles of the decay report, and sample angles on each circle
+# trace circles of the decay trace, and sample angles on each circle
 _DECAY_RADII = 14
 _DECAY_ANGLES = 48
 
 
-def symmetry_and_decay_report(cap: CapacityMatrix,
-                              pot: PotentialSolution) -> DecayReport:
+def decay_trace(pot: PotentialSolution) -> DecayTrace:
     """Measure how the remainder decays once template and drift are removed.
 
     The remainder of column k at radius rho is the solved field minus
     (1-chi) x template minus rigid x drift, sampled on circles over the full
-    thickness.  Row norms aggregate the four columns; growth exponents are
-    least-squares slopes of log(norm) vs log(rho) between twice the patch
-    radius and half the box.
-
-    The band residuals are the converged fit's own misfit on its three
-    radial sub-bands (``PotentialSolution.band_residuals``), rms over the
-    four columns; no fit is repeated here.  band_radii are the centres of
-    those bands, the thirds of the annulus.
+    thickness from 1.1 patch radii to 0.95 T.  Row norms aggregate the four
+    columns per displacement component.
     """
     mesh = pot.mesh
     R, T = mesh.R_theta, mesh.T
@@ -914,24 +891,7 @@ def symmetry_and_decay_report(cap: CapacityMatrix,
                 rem = rem + chi * pot.expansion.eval_column(col, pts)
             acc += rem ** 2
         row_norms[:, ri] = np.sqrt(acc.mean(axis=0))
-    window = (2.0 * R, 0.5 * T)
-    sel = (radii >= window[0] - 1e-12) & (radii <= window[1] + 1e-12)
-    if sel.sum() < 3:
-        raise ContractError("trace window too narrow for slope estimates")
-    slopes = np.array([
-        np.polyfit(np.log(radii[sel]),
-                   np.log(np.maximum(row_norms[i, sel], 1e-300)), 1)[0]
-        for i in range(3)])
-
-    edges = np.linspace(*cap.annulus, 4)
-    band_r = 0.5 * (edges[:-1] + edges[1:]) * T
-    band_res = np.sqrt((pot.band_residuals ** 2).mean(axis=0))
-    sym = 0.5 * (cap.C + cap.C.T)
-    return DecayReport(C=cap.C.copy(), C_symmetrized=sym,
-                       symmetry_defect=cap.symmetry_defect, radii=radii,
-                       row_norms=row_norms, growth_exponents=slopes,
-                       window=window, band_radii=band_r,
-                       band_residuals=band_res)
+    return DecayTrace(radii=radii, row_norms=row_norms)
 
 
 def capacity_json(cap: CapacityMatrix) -> str:
@@ -956,12 +916,12 @@ def capacity_json(cap: CapacityMatrix) -> str:
     return json.dumps(rec, sort_keys=True, indent=2) + "\n"
 
 
-def decay_csv(report: DecayReport) -> str:
+def decay_csv(trace: DecayTrace) -> str:
     """Decay trace: radius against the remainder row norms."""
     buf = io.StringIO()
     buf.write("rho,row1,row2,row3\n")
-    for k, rho in enumerate(report.radii):
-        buf.write(f"{rho:.12g},{report.row_norms[0, k]:.12g},"
-                  f"{report.row_norms[1, k]:.12g},"
-                  f"{report.row_norms[2, k]:.12g}\n")
+    for k, rho in enumerate(trace.radii):
+        buf.write(f"{rho:.12g},{trace.row_norms[0, k]:.12g},"
+                  f"{trace.row_norms[1, k]:.12g},"
+                  f"{trace.row_norms[2, k]:.12g}\n")
     return buf.getvalue()

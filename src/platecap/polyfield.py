@@ -374,10 +374,11 @@ class Poly:
         return _poly({(a, b, c + 1): _canon(v.p, v.q, v.d * (c + 1))
                       for (a, b, c), v in self.terms.items()})
 
-    def integrate_zeta(self, lo=Q(-1, 2), hi=Q(1, 2)) -> "Poly":
-        """Definite integral over zeta; result has zeta-degree 0."""
+    def integrate_zeta(self) -> "Poly":
+        """Integral over the thickness -1/2 < zeta < 1/2; result has
+        zeta-degree 0."""
         F = self.antiderivative_zeta()
-        return F.subs_zeta(hi) - F.subs_zeta(lo)
+        return F.subs_zeta(Q(1, 2)) - F.subs_zeta(Q(-1, 2))
 
     def subs_zeta(self, value) -> "Poly":
         """Substitute a rational number for zeta."""
@@ -414,9 +415,6 @@ class Poly:
         for (a, b, c), v in self.terms.items():
             tot = tot + v * (y1 ** a) * (y2 ** b) * (zeta ** c)
         return tot
-
-    def degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=-1)
 
     def zeta_degree(self) -> int:
         return max((k[2] for k in self.terms), default=-1)

@@ -226,9 +226,6 @@ class AnsatzOperators:
     membrane: dict           # extracted second-order limit operator
     bending: dict            # extracted fourth-order limit operator
 
-    def max_order(self) -> int:
-        return max(a + b for t in self.tables for (a, b) in t)
-
     @cached_property
     def residual_tables(self) -> ResidualTables:
         """Symbol tables of the residual cascade, composed once.

@@ -13,6 +13,7 @@ from platecap import cli
 from platecap.cli import (ConfigError, build_parser, main, parse_material,
                           resolve_config)
 from platecap.fem import SolverError
+from platecap.fundamental import ConstructionError
 from platecap.inequalities import hardy_constant
 from platecap.layer import ExtractionError
 from platecap.reduction import ReductionError
@@ -215,6 +216,9 @@ class TestMainEntry:
          ["korn-sweep", "--h", "0.2"]),
         ("build_dimension_reduction", ReductionError("face defect"),
          ["ansatz-residual", "--degree", "1"]),
+        ("construct_fundamental",
+         ConstructionError("identity 'biorthogonality' defect 4.028e-05"),
+         ["fundsol-verify", "--n-angular", "16"]),
     ])
     def test_compute_error_exit_1(self, tmp_path, capsys, monkeypatch,
                                   target, error, argv):

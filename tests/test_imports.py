@@ -12,17 +12,21 @@ the only such purpose is the benchmark tracer, so each of those names must
 be one that ``perfbench/tracing.py`` wraps in that module's namespace.
 
 Reachability is a closure over the top-level definitions (``def``,
-``class`` and assignment) of ``src/platecap``.  Its roots are every
-definition of ``cli`` and every identifier of ``tests/test_acceptance.py``
-and of ``perfbench/*.py``, string constants of the latter included (the
-tracer names the functions it wraps as strings).  A definition reaches every
-name and attribute in its own source that resolves, through its module or
-that module's ``from .m import n`` imports, to another definition.  What
-nothing reaches must be listed in ``REFERENCE_ONLY`` with its reason, and
-that list must hold nothing else.
+``class`` and assignment) of ``src/platecap`` and the methods of its
+classes.  Its roots are every definition of ``cli`` and every identifier of
+``tests/test_acceptance.py`` and of ``perfbench/*.py``, string constants of
+the latter included (the tracer names the functions and methods it wraps as
+strings).  A definition reaches every name and attribute in its own source
+that resolves, through its module or that module's ``from .m import n``
+imports, to another top-level definition.  A method of a reached class is
+reached when reached code or a root names it as an attribute; a class's
+dunder methods belong to the class itself.  What nothing reaches must be
+listed in ``REFERENCE_ONLY`` with its reason, and that list must hold
+nothing else.
 """
 import ast
 import importlib.util
+import itertools
 import symtable
 from pathlib import Path
 
@@ -47,6 +51,8 @@ REFERENCE_ONLY = {
     "layer.grid_interpolate": "the tests' reference for the annulus fitter's "
                               "stencil",
     "layer.v01_norm": "the paper's weighted norm of the layer",
+    "polyfield.Poly.scale_zeta": "the substitution zeta -> zeta/h that "
+                                 "recomposes the thickness-scaled operator",
     "reduction.apply_ansatz": "the paper's ansatz field built from a limit "
                               "solution",
     "reduction.AnsatzField": "the field apply_ansatz returns",
@@ -125,6 +131,12 @@ def _exported(tree):
     return []
 
 
+def _is_method(node):
+    """A function in a class body that is not a dunder."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def _defined(tree):
     """(name, statement) of every top-level def, class and assignment."""
     for node in tree.body:
@@ -146,17 +158,37 @@ def _bound_at_top(tree):
                 yield a.asname or a.name.split(".")[0]
 
 
-def _identifiers(tree, strings=False):
-    """Every name and attribute in the tree, and its string constants if
-    asked."""
-    for n in ast.walk(tree):
+def _methods(tree):
+    """("Class.method", statement) of every method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if _is_method(m))
+
+
+def _own_nodes(node):
+    """The nodes of a definition; a class's methods are definitions of
+    their own."""
+    if not isinstance(node, ast.ClassDef):
+        return ast.walk(node)
+    parts = [n for n in ast.iter_child_nodes(node) if not _is_method(n)]
+    return itertools.chain([node], *map(ast.walk, parts))
+
+
+def _words(nodes, strings=False):
+    """(names, attributes) among the nodes; their string constants, if
+    asked, count as both."""
+    names, attrs = set(), set()
+    for n in nodes:
         if isinstance(n, ast.Name):
-            yield n.id
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            attrs.add(n.attr)
         elif (strings and isinstance(n, ast.Constant)
               and isinstance(n.value, str)):
-            yield n.value
+            names.add(n.value)
+            attrs.add(n.value)
+    return names, attrs
 
 
 @pytest.mark.parametrize("path", MODULES,
@@ -190,11 +222,14 @@ def test_package_noqa_imports_are_traced():
 
 def test_package_definitions_are_reached():
     defs, imports = {}, {}     # "module.name" -> statement; alias resolution
+    methods = {}               # "module.Class.method" -> statement
     for path in PACKAGE:
         mod = path.stem
         _, tree = _parse(path)
         defs.update((f"{mod}.{name}", node) for name, node in _defined(tree)
                     if not (name.startswith("__") and name.endswith("__")))
+        methods.update((f"{mod}.{name}", node)
+                       for name, node in _methods(tree))
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 imports.update((f"{mod}.{a.asname or a.name}",
@@ -213,20 +248,33 @@ def test_package_definitions_are_reached():
     outside = [(ROOT / "tests" / "test_acceptance.py", False),
                *((p, True) for p in (ROOT / "perfbench").glob("*.py"))]
     todo = [key for key in defs if key.startswith("cli.")]
+    attrs = set()              # attribute names that reached code reads
     for path, strings in outside:
-        for name in set(_identifiers(_parse(path)[1], strings)):
+        names, found = _words(ast.walk(_parse(path)[1]), strings)
+        attrs |= found
+        for name in names | found:
             todo += by_name.get(name, [])
+    source = {**defs, **methods}
     reached = set()
     while todo:
-        key = todo.pop()
-        if key in reached:
-            continue
-        reached.add(key)
-        mod = key.split(".", 1)[0]
-        todo += filter(None, (resolve(mod, name)
-                              for name in set(_identifiers(defs[key]))))
-    unreached = sorted(set(defs) - reached - set(REFERENCE_ONLY))
+        while todo:
+            key = todo.pop()
+            if key in reached:
+                continue
+            reached.add(key)
+            mod = key.split(".", 1)[0]
+            names, found = _words(_own_nodes(source[key]))
+            attrs |= found
+            todo += filter(None, (resolve(mod, name)
+                                  for name in names | found))
+        todo = [key for key in methods if key not in reached
+                and key.rsplit(".", 1)[0] in reached
+                and key.rsplit(".", 1)[1] in attrs]
+    candidates = set(defs) | {key for key in methods
+                              if key.rsplit(".", 1)[0] in reached}
+    unreached = sorted(candidates - reached - set(REFERENCE_ONLY))
     assert not unreached, ("definitions no run, gate or workload reaches: "
                            f"{unreached}")
-    stale = sorted(k for k in REFERENCE_ONLY if k in reached or k not in defs)
+    stale = sorted(k for k in REFERENCE_ONLY
+                   if k in reached or k not in source)
     assert not stale, f"REFERENCE_ONLY entries reached or not defined: {stale}"

@@ -8,11 +8,11 @@ import scipy.linalg as sla
 from platecap.elastic import isotropic_stiffness
 from platecap.fem import EliminationSolver, MeshError
 from platecap.inequalities import (NORM_VARIANTS, ContractError,
-                                   SupportLayout, WeightSpec,
-                                   boundary_distance, cutoff, cutoff_slope,
-                                   hardy_constant, hardy_ratio, korn_constant,
-                                   korn_csv, korn_system, optimality_witness,
-                                   weights_eval)
+                                   SupportLayout, boundary_distance, cutoff,
+                                   cutoff_slope, edge_weight, hardy_constant,
+                                   hardy_ratio, korn_constant, korn_csv,
+                                   korn_system, optimality_witness,
+                                   support_weight)
 
 ISO = isotropic_stiffness(1.0, 1.0)
 CENTERS = ((0.35, 0.4), (0.65, 0.6))
@@ -113,54 +113,39 @@ class TestHardyRatio:
 
 class TestWeights:
     def test_edge_weight_center_value(self):
-        spec = WeightSpec(h=0.1, kind="edge", rect=(1.0, 1.0))
-        assert weights_eval(spec, (0.5, 0.5)) == pytest.approx(0.6, abs=1e-15)
-        assert weights_eval(spec, (0.1, 0.04)) == pytest.approx(0.14,
-                                                                abs=1e-15)
+        assert edge_weight(0.1, (1.0, 1.0), (0.5, 0.5)) == pytest.approx(
+            0.6, abs=1e-15)
+        assert edge_weight(0.1, (1.0, 1.0), (0.1, 0.04)) == pytest.approx(
+            0.14, abs=1e-15)
 
     def test_support_weight_peak_value(self):
-        spec = WeightSpec(h=0.1, kind="support", q=1)
-        got = weights_eval(spec, (0.0, 0.0))
+        got = support_weight(0.1, 1, ((0.0, 0.0),), (0.0, 0.0))
         assert got == pytest.approx(10.0 / (1.0 + abs(math.log(0.01))),
                                     rel=1e-14)
         assert got == pytest.approx(1.7840671501818418, rel=1e-12)
 
     def test_single_support_max_equals_shifted(self):
+        # one centre at c is the weight about the origin, shifted by c
         rng = np.random.default_rng(5)
         pts = rng.uniform(0.0, 1.0, size=(50, 2))
         c = (0.4, 0.7)
-        multi = weights_eval(WeightSpec(h=0.05, kind="multi-support", q=2,
-                                        centers=(c,)), pts)
-        single = weights_eval(WeightSpec(h=0.05, kind="support", q=2,
-                                         centers=(c,)), pts)
-        assert np.allclose(multi, single, rtol=1e-15)
+        at_c = support_weight(0.05, 2, (c,), pts)
+        shifted = support_weight(0.05, 2, ((0.0, 0.0),), pts - np.array(c))
+        assert np.allclose(at_c, shifted, rtol=1e-15)
 
     def test_multi_support_is_pointwise_max(self):
         rng = np.random.default_rng(6)
         pts = rng.uniform(0.0, 1.0, size=(40, 2))
         cs = ((0.2, 0.2), (0.8, 0.5))
-        multi = weights_eval(WeightSpec(h=0.1, kind="multi-support",
-                                        centers=cs), pts)
-        singles = [weights_eval(WeightSpec(h=0.1, kind="support",
-                                           centers=(c,)), pts) for c in cs]
+        multi = support_weight(0.1, 1, cs, pts)
+        singles = [support_weight(0.1, 1, (c,), pts) for c in cs]
         assert np.allclose(multi, np.maximum(*singles), rtol=1e-15)
 
     def test_edge_weight_floor_is_thickness(self):
         rng = np.random.default_rng(7)
         pts = rng.uniform(0.0, 1.0, size=(100, 2))
-        spec = WeightSpec(h=0.03, kind="edge", rect=(1.0, 1.0))
-        assert np.all(weights_eval(spec, pts) >= 0.03)
+        assert np.all(edge_weight(0.03, (1.0, 1.0), pts) >= 0.03)
         assert np.all(boundary_distance((1.0, 1.0), pts) >= 0.0)
-
-    def test_spec_validation(self):
-        with pytest.raises(ContractError):
-            WeightSpec(h=0.0, kind="edge")
-        with pytest.raises(ContractError):
-            WeightSpec(h=0.1, kind="banana")
-        with pytest.raises(ContractError):
-            WeightSpec(h=0.1, kind="support", q=3)
-        with pytest.raises(ContractError):
-            WeightSpec(h=0.1, kind="multi-support", centers=())
 
 
 class TestSupportLayout:
@@ -320,7 +305,7 @@ class TestOptimalityWitnesses:
         with pytest.raises(ContractError):
             optimality_witness("log-weight", 0.5)
         with pytest.raises(ContractError):
-            optimality_witness("rotation", 0.2, R=2.0)
+            optimality_witness("rotation", 0.3)
         with pytest.raises(ContractError):
             optimality_witness("log-factor", 0.2)
         with pytest.raises(ContractError):
