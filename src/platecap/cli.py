@@ -6,8 +6,8 @@ row, JSON records).  Configuration comes from per-kind defaults, an
 optional JSON file (``--config``), and command-line flags, in that order
 of precedence.  Same config + same seed gives byte-identical outputs.
 
-Exit codes: 0 ok, 1 assertion failure or a solver, extraction or reduction
-error at compute time, 2 configuration error.
+Exit codes: 0 ok, 1 assertion failure or a solver, extraction, reduction or
+construction error at compute time, 2 configuration error.
 
 While ``main`` runs, every OpenBLAS pool the process has loaded runs on one
 thread, and gets its old count back when ``main`` returns or raises.  The
@@ -716,8 +716,9 @@ def run_capacity(cfg: ExperimentConfig):
         outputs[str(p["decay_output"])] = decay_csv(decay_trace(pot))
     failures = []
     if not cap.converged.all():
-        failures.append("capacity: fixed point did not converge on all "
-                        "columns")
+        missed = np.flatnonzero(~cap.converged).tolist()
+        failures.append("capacity: verification sweep missed the fixed "
+                        f"point on columns {missed}")
     return outputs, failures
 
 

@@ -16,8 +16,8 @@ derivatives of the template columns, 21 fields in all.  Its coefficients
 solve an affine fixed-point equation x = fit(solve(outer data built from
 x)); solve, interpolation and fit are all linear, so the extraction
 measures the affine map directly (one solve per closure field), closes the
-resulting 21x21 system, and finishes with literal fixed-point sweeps whose
-recorded deltas certify the contraction.  The decay trace then samples what
+resulting 21x21 system, and verifies the closed fixed point with one literal
+sweep of all four columns.  The decay trace then samples what
 the matched fields leave over, the boundary layer, on circles around the
 patch.
 """
@@ -56,11 +56,7 @@ __all__ = [
 
 
 class ExtractionError(RuntimeError):
-    """Far-field matching failed; carries the iteration histories."""
-
-    def __init__(self, message: str, histories=None):
-        super().__init__(message)
-        self.histories = histories
+    """Far-field matching failed: a sweep gave non-finite coefficients."""
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +431,15 @@ class FarFieldExpansion:
 _N_ANGULAR = 48
 _N_RADIAL = 6
 _CHI_SCALE = 2.0
-# Literal sweeps after the closure jump stop once the coefficient update is
-# below _SWEEP_TOL, or after _MAX_SWEEPS iterations in all; a column whose
-# fit residual exceeds _RESIDUAL_WARN times its drift scale is flagged.
+# A column is verified when the literal sweep after the closure solve moves
+# its coefficients by at most _SWEEP_TOL; a column whose fit residual
+# exceeds _RESIDUAL_WARN times its drift scale is flagged.
 _SWEEP_TOL = 1e-6
-_MAX_SWEEPS = 20
 _RESIDUAL_WARN = 0.25
 
 
 @dataclass(frozen=True)
 class FitResult:
-    c: np.ndarray          # fitted rigid coefficients (4,)
     residual: float        # weighted rms of the unexplained part
     drift: float           # weighted rms of the fitted rigid part
     bars: np.ndarray       # per-coefficient error bars (4,)
@@ -561,7 +555,7 @@ class _AnnulusFitter:
                                   self._Bs[sel], samples[sel]))
             spread = np.maximum(spread, np.abs(yb / self.colscale - coef))
         lsq = res * np.sqrt(self._solve[1] * self.total) / self.colscale
-        return FitResult(c=coef[:4], residual=res, drift=drift,
+        return FitResult(residual=res, drift=drift,
                          bars=(lsq + spread)[:4], spread=spread[:4],
                          coef=coef)
 
@@ -610,15 +604,19 @@ class CapacityMatrix:
     """4x4 capacity of the clamped patch with its quality diagnostics."""
 
     C: np.ndarray                 # column j: rigid drift of potential j
-    symmetry_defect: float        # |C - C^T|_F / |C|_F
+    symmetry_defect: float        # |C - C^T|_F / |C|_F; for anisotropic
+                                  # materials it depends on the gauge of
+                                  # Phi3, as the tilt block of C does
     fit_residuals: np.ndarray     # (4,) weighted rms per column
     error_bars: np.ndarray        # (4,4) lsq worst case + band spread
                                   # + correction-structure term
     band_spread: np.ndarray       # (4,4) radial sub-band refit spread
     correction_bars: np.ndarray   # (4,4) residual-implied displacement by
                                   # correction-shaped contamination
-    iterations: np.ndarray        # (4,) fixed-point sweeps per column
-    converged: np.ndarray         # (4,) bool
+    iterations: np.ndarray        # (4,) always 2: the probe sweep and the
+                                  # verification sweep
+    converged: np.ndarray         # (4,) bool: verification sweep within
+                                  # _SWEEP_TOL
     warning: bool                 # some residual exceeded its threshold
     T: float
     mesh_signature: str
@@ -629,12 +627,11 @@ class CapacityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PotentialSolution:
-    """Discrete potential columns with their iteration histories."""
+    """Discrete potential columns of the verification sweep."""
 
     mesh: LayerMesh
     columns: np.ndarray           # (4, n_nodes, 3)
-    histories: tuple              # per column: ((x, delta), ...)
-    c: np.ndarray                 # (4,4) converged drift coefficients
+    c: np.ndarray                 # (4,4) drift coefficients, the C matrix
     x: np.ndarray                 # (m,4) full closure coefficients
     expansion: FarFieldExpansion
 
@@ -662,8 +659,10 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     correction field B x; the coefficients are the fixed point of
     x -> fit(solution - template).  That map is affine in x, so it is
     measured exactly (one solve per correction field), the fixed point is
-    closed as a linear system, and literal sweeps then verify it: their
-    deltas are the recorded histories.
+    closed as a linear system, and one literal sweep of all four columns
+    verifies it.  A column whose sweep moves its coefficients by more than
+    _SWEEP_TOL is reported unconverged and sets the warning; non-finite
+    sweep coefficients raise ExtractionError naming the column.
 
     B is the closure: the four rigid columns, then the independent first
     and second in-plane derivatives of the template columns
@@ -743,56 +742,30 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
          for vals in first[:m]])
     carrier_vals = first[m + 4:]
 
-    # Iteration 1 is the closure jump: the probe sweep from x = 0 measures
-    # the offset b, and (I - M) x = b closes the fixed point.
-    histories = []
+    # The probe sweep from x = 0 measures the offset b, and (I - M) x = b
+    # closes the fixed point.
     xs = []
     for col in range(4):
-        history = [(np.zeros(m), float("nan"))]
         probe = fit_column(col, first[m + col])
         if not np.all(np.isfinite(probe.coef)):
-            raise ExtractionError(f"column {col}: non-finite probe sweep",
-                                  tuple(history))
+            raise ExtractionError(f"column {col}: non-finite probe sweep")
         xs.append(np.linalg.solve(np.eye(m) - basis_map, probe.coef))
-        history.append((xs[col], float(np.linalg.norm(xs[col]))))
-        histories.append(history)
 
-    # Later literal sweeps only verify the fixed point, all unconverged
-    # columns in one batched solve per sweep.
-    last = [None] * 4          # (fit, field values) of the latest sweep
-    converged = [False] * 4
-    for k in range(2, _MAX_SWEEPS + 1):
-        active = [col for col in range(4) if not converged[col]]
-        if not active:
-            break
-        walls = np.stack([xi_outer[col]
-                          + np.einsum("qim,m->qi", B_outer, xs[col])
-                          for col in active], axis=2)
-        swept = [(col, fit_column(col, vals), vals)
-                 for col, vals in zip(active, boundary_solve(walls))]
-        for col, fit, vals in swept:
-            history = histories[col]
-            if not np.all(np.isfinite(fit.coef)):
-                raise ExtractionError(
-                    f"column {col}: non-finite update at sweep {k}",
-                    tuple(history))
-            delta = float(np.linalg.norm(fit.coef - xs[col]))
-            history.append((fit.coef, delta))
-            xs[col] = fit.coef
-            last[col] = (fit, vals)
-            if delta <= _SWEEP_TOL:
-                converged[col] = True
-                continue
-            deltas = [h[1] for h in history[1:]]
-            if len(deltas) >= 4 and deltas[-1] > deltas[-2] > deltas[-3]:
-                raise ExtractionError(
-                    f"column {col}: fixed point diverging "
-                    f"(deltas {deltas[-3]:.3e}, {deltas[-2]:.3e}, "
-                    f"{deltas[-1]:.3e})", tuple(history))
+    # One literal sweep of all four columns, in one batched solve, verifies
+    # the closed fixed point; its coefficients are the ones reported.
+    walls = np.stack([xi_outer[col] + np.einsum("qim,m->qi", B_outer, xs[col])
+                      for col in range(4)], axis=2)
+    columns = boundary_solve(walls)
+    fits = [fit_column(col, vals) for col, vals in enumerate(columns)]
+    for col, fit in enumerate(fits):
+        if not np.all(np.isfinite(fit.coef)):
+            raise ExtractionError(
+                f"column {col}: non-finite verification sweep")
+    converged = np.array([np.linalg.norm(fit.coef - x) <= _SWEEP_TOL
+                          for fit, x in zip(fits, xs)])
 
-    X = np.column_stack(xs)
+    X = np.column_stack([fit.coef for fit in fits])
     C = X[:4]
-    fits = [fit for fit, _ in last]
     residuals = np.array([fit.residual for fit in fits])
     # Correction-structure bars: the closure cannot represent the true
     # correction below its order, so correction-shaped contamination enters
@@ -813,10 +786,6 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
                                            disp * residuals[col] / mis)
     bars = np.column_stack([fit.bars for fit in fits]) + corr_bars
     spread = np.column_stack([fit.spread for fit in fits])
-    columns = np.stack([vals for _, vals in last])
-    histories = tuple(tuple((tuple(x), d) for x, d in h) for h in histories)
-    converged = np.array(converged)
-    iters = np.array([len(h) - 1 for h in histories])
     scale = np.array([max(fit.drift, s, 1e-300)
                       for fit, s in zip(fits, xi_scale)])
     warning = bool(np.any(residuals > _RESIDUAL_WARN * scale)
@@ -828,13 +797,13 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     cap = CapacityMatrix(C=C, symmetry_defect=defect,
                          fit_residuals=residuals, error_bars=bars,
                          band_spread=spread, correction_bars=corr_bars,
-                         iterations=iters, converged=converged,
+                         iterations=np.full(4, 2), converged=converged,
                          warning=warning, T=mesh.T,
                          mesh_signature=mesh.signature,
                          theta_spec=mesh.theta_spec, material=Amat,
                          annulus=(float(a0), float(a1)))
-    pot = PotentialSolution(mesh=mesh, columns=columns, histories=histories,
-                            c=C, x=X, expansion=expansion)
+    pot = PotentialSolution(mesh=mesh, columns=columns, c=C, x=X,
+                            expansion=expansion)
     return cap, pot
 
 

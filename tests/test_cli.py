@@ -434,6 +434,23 @@ class TestCapacityRuns:
         assert C[0, 0] == pytest.approx(C[1, 1], abs=1e-11)
         assert rec["iterations"] == [2, 2, 2, 2]
 
+    def test_unverified_columns_exit_1(self, tmp_path, capsys,
+                                       monkeypatch):
+        # no verification sweep meets a negative tolerance: the record is
+        # still written, and the failure line names every column
+        monkeypatch.setattr("platecap.layer._SWEEP_TOL", -1.0)
+        out = tmp_path / "c.json"
+        rc = run_cli(["run", "capacity", "--nz", "2", "--inner-step", "0.5",
+                      "--growth-cap", "3", "-o", str(out)])
+        assert rc == 1
+        rec = json.loads(out.read_text())
+        assert rec["iterations"] == [2, 2, 2, 2]
+        assert rec["warning"] is True
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if ln.startswith("platecap: FAIL")] == [
+            "platecap: FAIL capacity: verification sweep missed the fixed "
+            "point on columns [0, 1, 2, 3]"]
+
     def test_jobs_do_not_change_output(self, tmp_path):
         argv = ["run", "capacity", "--nz", "2", "--inner-step", "0.5",
                 "--growth-cap", "3"]
