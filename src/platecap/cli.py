@@ -411,6 +411,12 @@ def _validate_kirchhoff(p: dict) -> None:
                                                        "sine-bump"):
         raise ConfigError(f"unknown load spec {load!r}")
     parse_material(str(p["material"]))
+    if p["study"] == "solve":
+        try:
+            dom = PlateDomain(1.0, 1.0, p["spacing"], point=tuple(pt))
+            load_from_spec(dom, load)
+        except ValueError as e:
+            raise ConfigError(f"kirchhoff solve: {e}")
 
 
 def _validate_fundsol(p: dict) -> None:
@@ -466,14 +472,9 @@ def _validate_capacity(p: dict) -> None:
 
 def _capacity_mesh(p: dict):
     theta = str(p["theta"])
-    mesh_kwargs = {}
-    if theta.startswith("disk:"):
-        r = float(theta[5:])
-        mesh_kwargs["theta"] = \
-            lambda eta: np.hypot(eta[:, 0], eta[:, 1]) <= r
-        mesh_kwargs["R_theta"] = r
+    radius = float(theta[5:]) if theta.startswith("disk:") else 1.0
     return layer_mesh(T=p["T"], n_z=p["nz"], inner_step=p["inner_step"],
-                      growth_cap=p["growth_cap"], **mesh_kwargs)
+                      growth_cap=p["growth_cap"], radius=radius)
 
 
 VALIDATORS = {"hardy": _validate_hardy, "korn-sweep": _validate_korn,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,17 +147,12 @@ class LogField:
         return LogField({k: (factor * A, factor * B)
                          for k, (A, B) in self.terms.items()}, self.n)
 
-    def circle(self, r: float, phi: np.ndarray | None = None) -> np.ndarray:
-        """Values on the circle |y| = r, on the stored angular grid by
-        default or on arbitrary angles."""
-        out = np.zeros(self.n if phi is None else len(phi))
+    def circle(self, r: float) -> np.ndarray:
+        """Values on the circle |y| = r, on the stored angular grid."""
+        out = np.zeros(self.n)
         lr = math.log(r)
         for k, (A, B) in self.terms.items():
-            if phi is None:
-                out += r ** k * (_samples(A) * lr + _samples(B))
-            else:
-                out += r ** k * (_eval_fourier(A, phi) * lr
-                                 + _eval_fourier(B, phi))
+            out += r ** k * (_samples(A) * lr + _samples(B))
         return out
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
@@ -193,13 +189,6 @@ class FundamentalMembrane:
         return LogField({0: (_const_coeffs(self.Psi[i, j], self.n),
                              self.psi[i, j])}, self.n)
 
-    def eval(self, y) -> np.ndarray:
-        out = np.empty((2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[i, j] = self.field(i, j).eval(y)[0]
-        return out
-
 
 @dataclass
 class FundamentalBending:
@@ -225,12 +214,8 @@ class FundamentalBending:
         f = self.field()
         return f.d(1), f.d(2)
 
-    def eval(self, y) -> float:
-        return self.field().eval(y)[0]
 
-
-@dataclass
-class PhiSharp:
+class PhiSharp(NamedTuple):
     """3x4 block matrix: Phi' top left, (-Phi3^2, Phi3^1) in the last row.
 
     The minus sign is forced by duality: the tilt columns must pair
@@ -248,14 +233,6 @@ class PhiSharp:
         return [[self.membrane.field(0, 0), self.membrane.field(0, 1), z, z],
                 [self.membrane.field(1, 0), self.membrane.field(1, 1), z, z],
                 [z, z, g2.scaled(-1.0), g1]]
-
-    def eval(self, y) -> np.ndarray:
-        out = np.zeros((3, 4))
-        for i, row in enumerate(self.fields()):
-            for j, f in enumerate(row):
-                if f.terms:
-                    out[i, j] = f.eval(y)[0]
-        return out
 
 
 def eval_isotropic_fundamentals(lam: float, mu: float, y):
@@ -290,9 +267,9 @@ def _d3(w1, w2):
     return np.array([w1 ** 2 / SQ2, w2 ** 2 / SQ2, w1 * w2])
 
 
-def construct_fundamental(A0, n_angular: int = 1024):
-    """Build (FundamentalMembrane, FundamentalBending) for a reduced
-    stiffness, then check the defining contour identities."""
+def construct_fundamental(A0, n_angular: int = 1024) -> PhiSharp:
+    """Build PhiSharp(membrane, bending) for a reduced stiffness, then check
+    the defining contour identities."""
     A0 = np.asarray(A0, dtype=float)
     if np.linalg.eigvalsh(0.5 * (A0 + A0.T)).min() <= 0:
         raise InvalidMaterial("reduced stiffness must be positive definite")
@@ -303,7 +280,7 @@ def construct_fundamental(A0, n_angular: int = 1024):
         raise ConstructionError(
             f"identity {report.worst!r} defect {report.max_defect:.3e}",
             report)
-    return mem, bend
+    return PhiSharp(mem, bend)
 
 
 def _quadrature_fundamental(A0, n):
@@ -341,7 +318,7 @@ def _quadrature_fundamental(A0, n):
 # contour identities
 # ---------------------------------------------------------------------------
 
-def _membrane_tractions(mem: FundamentalMembrane, A0, r, theta, phi=None):
+def _membrane_tractions(mem: FundamentalMembrane, A0, r, theta):
     """N' Phi' sampled on the circle of radius r: shape (2, 2, len(theta))."""
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     out = np.empty((2, 2, len(theta)))
@@ -349,14 +326,14 @@ def _membrane_tractions(mem: FundamentalMembrane, A0, r, theta, phi=None):
         u = [mem.field(0, j), mem.field(1, j)]
         strain = [u[0].d(1), u[1].d(2),
                   (u[0].d(2) + u[1].d(1)).scaled(1.0 / SQ2)]
-        sv = np.stack([s.circle(r, phi) for s in strain])
+        sv = np.stack([s.circle(r) for s in strain])
         asv = np.asarray(A0, dtype=float) @ sv
         out[0, j] = cos_t * asv[0] + sin_t / SQ2 * asv[2]
         out[1, j] = sin_t * asv[1] + cos_t / SQ2 * asv[2]
     return out
 
 
-def _energy_pairing(mem: FundamentalMembrane, A0, r, theta, phi=None):
+def _energy_pairing(mem: FundamentalMembrane, A0, r, theta):
     """Tractions N' Phi' on the circle of radius r and the drift-corrected
     energy pairing int Phi'^T N' Phi' ds + ln(r) Psi'.
 
@@ -365,14 +342,14 @@ def _energy_pairing(mem: FundamentalMembrane, A0, r, theta, phi=None):
     pairing of the angular part does not depend on the radius, so it can
     be checked or normalized on any contour."""
     w = TWO_PI * r / len(theta)            # trapezoid weight, ds = r dtheta
-    G = _membrane_tractions(mem, A0, r, theta, phi)
-    phi_vals = np.array([[mem.field(i, j).circle(r, phi) for j in range(2)]
+    G = _membrane_tractions(mem, A0, r, theta)
+    phi_vals = np.array([[mem.field(i, j).circle(r) for j in range(2)]
                          for i in range(2)])
     energy = w * np.einsum("kin,kjn->ij", phi_vals, G) + math.log(r) * mem.Psi
     return G, energy
 
 
-def _bending_tractions(fld: LogField, A0, r, theta, phi=None):
+def _bending_tractions(fld: LogField, A0, r, theta):
     """(N0 v, N1 v, N2 v) on the circle for a scalar field v."""
     A3 = np.asarray(A0, dtype=float) / 6.0
     d11, d22 = fld.d(1).d(1), fld.d(2).d(2)
@@ -383,11 +360,11 @@ def _bending_tractions(fld: LogField, A0, r, theta, phi=None):
     v1 = T[0].d(1) + T[2].d(2).scaled(1.0 / SQ2)
     v2 = T[1].d(2) + T[2].d(1).scaled(1.0 / SQ2)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
-    tv = np.stack([t.circle(r, phi) for t in T])
+    tv = np.stack([t.circle(r) for t in T])
     # the shear trace carries the minus sign, the moment traces do not:
     # integrating (L3 w, v) by parts twice gives the boundary functional
     # -(N0 w) v - sum_i (Ni w) di v with exactly these signs
-    n0 = -(cos_t * v1.circle(r, phi) + sin_t * v2.circle(r, phi)) / SQ2
+    n0 = -(cos_t * v1.circle(r) + sin_t * v2.circle(r)) / SQ2
     n1 = (cos_t * tv[0] + sin_t / SQ2 * tv[2]) / SQ2
     n2 = (sin_t * tv[1] + cos_t / SQ2 * tv[2]) / SQ2
     return n0, n1, n2
@@ -414,26 +391,22 @@ class IdentityReport:
         return max(self.defects, key=self.defects.get)
 
 
-def verify_contour_identities(fundamentals, A0, radius: float = 1.0,
-                              start_angle: float = 0.0) -> IdentityReport:
-    """Quadrature check of the six defining relations on |y| = radius.
-
-    start_angle rotates the quadrature nodes along the contour; the values
-    must not depend on it."""
+def verify_contour_identities(fundamentals, A0, radius: float = 1.0
+                              ) -> IdentityReport:
+    """Quadrature check of the six defining relations on |y| = radius."""
     if radius <= 0:
         raise SingularityError("contour must avoid the origin")
     mem, bend = fundamentals
     n = mem.n
-    theta = start_angle + TWO_PI * np.arange(n) / n
-    phi = None if start_angle == 0.0 else theta
+    theta = TWO_PI * np.arange(n) / n
     r = float(radius)
     w = TWO_PI * r / n                     # trapezoid weight, ds = r dtheta
     yk = r * np.stack([np.cos(theta), np.sin(theta)])
 
-    G, energy = _energy_pairing(mem, A0, r, theta, phi)
+    G, energy = _energy_pairing(mem, A0, r, theta)
     traction = -w * G.sum(axis=2)
 
-    n0, n1, n2 = _bending_tractions(bend.field(), A0, r, theta, phi)
+    n0, n1, n2 = _bending_tractions(bend.field(), A0, r, theta)
     charge = -w * n0.sum()
     moment = np.array([-w * (yk[0] * n0 + n1).sum(),
                        -w * (yk[1] * n0 + n2).sum()])
@@ -441,7 +414,7 @@ def verify_contour_identities(fundamentals, A0, radius: float = 1.0,
     grad_charge = np.empty(2)
     biorth = np.empty((2, 2))
     for i, gf in enumerate((g1, g2)):
-        m0, m1, m2 = _bending_tractions(gf, A0, r, theta, phi)
+        m0, m1, m2 = _bending_tractions(gf, A0, r, theta)
         grad_charge[i] = -w * m0.sum()
         biorth[i, 0] = w * (yk[0] * m0 + m1).sum()
         biorth[i, 1] = w * (yk[1] * m0 + m2).sum()

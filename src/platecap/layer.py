@@ -27,8 +27,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyadd as _polyadd
@@ -37,7 +36,7 @@ from numpy.polynomial.polynomial import polyval as _polyval
 from .elastic import rigid_motion_matrix
 from .fem import (ConstraintSet, EliminationSolver, MeshError,
                   StructuredGrid, assemble_elastic, assemble_pointwise_form)
-from .fundamental import PhiSharp, verify_contour_identities
+from .fundamental import verify_contour_identities
 from .inequalities import ContractError, cutoff
 from .polyfield import mat_to_float
 from .reduction import AnsatzOperators
@@ -102,10 +101,6 @@ def _half_axis(T: float, step: float, core: float, cap: float):
     return np.asarray(vals), q
 
 
-def _default_disk(eta: np.ndarray) -> np.ndarray:
-    return np.hypot(eta[:, 0], eta[:, 1]) <= 1.0 + 1e-12
-
-
 @dataclass(frozen=True, eq=False)
 class LayerMesh:
     """Structured box (-T,T)^2 x (-1/2,1/2) with in-plane grading toward the
@@ -123,8 +118,6 @@ class LayerMesh:
     R_theta: float
     theta_spec: str
     signature: str
-    theta_fn: Callable = field(repr=False, default=None)
-    r_override: float = field(repr=False, default=None)
 
     def refined(self) -> "LayerMesh":
         """Same box, half the tail-grading increment.
@@ -138,7 +131,7 @@ class LayerMesh:
                           inner_step=self.inner_step,
                           core_radius=self.core_radius,
                           growth_cap=1.0 + 0.5 * (self.growth_cap - 1.0),
-                          theta=self.theta_fn, R_theta=self.r_override)
+                          radius=self.R_theta)
 
     def with_box(self, T: float) -> "LayerMesh":
         """Same family on a box of half width T.
@@ -151,18 +144,17 @@ class LayerMesh:
         return layer_mesh(T=float(T), n_z=self.n_z,
                           inner_step=self.inner_step,
                           core_radius=self.core_radius, growth_cap=cap,
-                          theta=self.theta_fn, R_theta=self.r_override)
+                          radius=self.R_theta)
 
 
 def layer_mesh(T: float = 8.0, n_z: int = 6, inner_step: float = 0.25,
                core_radius: float = 2.0, growth_cap: float = 1.15,
-               theta: Callable | None = None,
-               R_theta: float | None = None) -> LayerMesh:
+               radius: float = 1.0) -> LayerMesh:
     """Build the truncated-layer mesh and capture the clamped patch.
 
-    theta: indicator eta(n,2) -> bool mask over bottom-face nodes; None
-    selects the closed unit disk.  R_theta overrides the patch radius used
-    by the admissibility checks (default: largest captured node radius).
+    The patch is the closed disk of the given radius: every bottom-face node
+    with hypot(eta) <= radius + 1e-12.  R_theta, the patch radius of the
+    admissibility checks, is the largest captured node radius.
     """
     if T <= 0 or inner_step <= 0 or core_radius <= 0:
         raise MeshError("box size, step and core radius must be positive")
@@ -177,15 +169,12 @@ def layer_mesh(T: float = 8.0, n_z: int = 6, inner_step: float = 0.25,
 
     bottom = grid.face_nodes(2, 0)
     eta = grid.nodes()[bottom][:, :2]
-    indicator = _default_disk if theta is None else theta
-    mask = np.asarray(indicator(eta), dtype=bool)
+    rho = np.hypot(eta[:, 0], eta[:, 1])
+    mask = rho <= radius + 1e-12
     theta_nodes = np.sort(bottom[mask])
     if len(theta_nodes) == 0:
         raise MeshError("the clamped patch captured no mesh nodes")
-    max_r = float(np.hypot(*eta[mask].T).max())
-    r_th = float(R_theta) if R_theta is not None else max(max_r, inner_step)
-    if max_r > r_th + 1e-12:
-        raise MeshError("patch nodes extend beyond the declared radius")
+    r_th = float(rho[mask].max())
     if not r_th < 0.25 * T - 1e-12:
         raise MeshError("patch radius must stay below a quarter of the box")
     if r_th < 2.0 * inner_step - 1e-12:
@@ -195,8 +184,7 @@ def layer_mesh(T: float = 8.0, n_z: int = 6, inner_step: float = 0.25,
 
     outer = np.unique(np.concatenate([grid.face_nodes(a, s)
                                       for a in (0, 1) for s in (0, 1)]))
-    spec = (f"disk:r={r_th:g}" if theta is None
-            else f"indicator({len(theta_nodes)} nodes)")
+    spec = f"disk:r={r_th:g}"
     sig = (f"box[{T:g}]x{n_z} step={inner_step:g} core={core_radius:g} "
            f"q={q:.4f} nodes={grid.n_nodes}")
     return LayerMesh(grid=grid, T=float(T), n_z=int(n_z),
@@ -204,7 +192,7 @@ def layer_mesh(T: float = 8.0, n_z: int = 6, inner_step: float = 0.25,
                      core_radius=float(core_radius), growth=float(q),
                      growth_cap=float(growth_cap), theta_nodes=theta_nodes,
                      outer_nodes=outer, R_theta=r_th, theta_spec=spec,
-                     signature=sig, theta_fn=theta, r_override=R_theta)
+                     signature=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +299,10 @@ class FarFieldExpansion:
     once and evaluated in batch.
     """
 
-    def __init__(self, fundamentals, operators: AnsatzOperators):
-        phi = (fundamentals if isinstance(fundamentals, PhiSharp)
-               else PhiSharp(*fundamentals))
+    def __init__(self, phi, operators: AnsatzOperators):
         if not getattr(phi.membrane, "normalized", False):
             raise ContractError("fundamental matrices must be normalized "
                                 "(zero energy pairing on the unit circle)")
-        self.phi = phi
-        self.operators = operators
         self._fields = phi.fields()
         self._dcache = {}
         # zeta coefficients of component i applied to derivative (a, b) of
@@ -415,10 +399,6 @@ class FarFieldExpansion:
         leading wall-truncated correction."""
         return np.stack([self.eval_derivative(col, axes, points)
                          for col, axes in self._ENRICHMENT], axis=2)
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.stack([self.eval_column(c, pts) for c in range(4)], axis=2)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +631,7 @@ def check_matching_window(mesh: LayerMesh, annulus) -> None:
                             "the cutoff transition")
 
 
-def extract_capacity(mesh: LayerMesh, A, fundamentals,
+def extract_capacity(mesh: LayerMesh, A, phi,
                      operators: AnsatzOperators, *, annulus=(0.55, 0.8)):
     """Capacity of the clamped patch by far-field matching.
 
@@ -673,15 +653,14 @@ def extract_capacity(mesh: LayerMesh, A, fundamentals,
     Returns (CapacityMatrix, PotentialSolution).
     """
     check_matching_window(mesh, annulus)
-    expansion = FarFieldExpansion(fundamentals, operators)
+    expansion = FarFieldExpansion(phi, operators)
     Amat = mat_to_float(A)
     ops_A = mat_to_float(operators.stiffness)
     if np.abs(ops_A - Amat).max() > 1e-9 * max(np.abs(Amat).max(), 1.0):
         raise ContractError("ansatz operators were built for a "
                             "different material")
-    phi = expansion.phi
-    report = verify_contour_identities((phi.membrane, phi.bending),
-                                       mat_to_float(operators.reduced), 1.0)
+    report = verify_contour_identities(phi, mat_to_float(operators.reduced),
+                                       1.0)
     if report.max_defect > 1e-6:
         raise ContractError("fundamental matrices do not satisfy the "
                             "defining contour identities for this "

@@ -202,6 +202,19 @@ class TestMainEntry:
         assert "leaves the rectangle" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_kirchhoff_geometry_error_exit_2(self, tmp_path, capsys, dry):
+        out = tmp_path / "s.csv"
+        short = tmp_path / "load.csv"
+        short.write_text("1,1,1\n")
+        for flags, frag in [(["--point", "0.01,0.5"], "strictly interior"),
+                            (["--load", f"file:{short}"], "rows of g1,g2,g3")]:
+            rc = run_cli(["run", "kirchhoff", "--study", "solve"] + flags
+                         + ["-o", str(out)] + dry)
+            assert rc == 2, flags
+            assert frag in capsys.readouterr().err
+            assert not out.exists()
+
     def test_bad_log_level_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("PLATECAP_LOG", "chatty")
         rc = run_cli(["run", "hardy", "--dry-run"])
@@ -469,7 +482,7 @@ class TestCapacityRuns:
                       "-o", str(out), "--decay-output", str(trace)])
         assert rc == 0
         rec = json.loads(out.read_text())
-        assert rec["theta_spec"].startswith("indicator(")
+        assert rec["theta_spec"] == "disk:r=0.8"
         assert rec["closure"] == "enriched"
         lines = trace.read_text().strip().split("\n")
         assert lines[0] == "rho,row1,row2,row3"

@@ -23,6 +23,15 @@ reached when reached code or a root names it as an attribute; a class's
 dunder methods belong to the class itself.  What nothing reaches must be
 listed in ``REFERENCE_ONLY`` with its reason, and that list must hold
 nothing else.
+
+The method rule matches names, not call sites: one attribute name reaches
+every method of that name in every reached class.  So the ``eval`` methods
+of the two fundamental solutions, of ``PhiSharp`` and of the far-field
+expansion passed while only tests called them, because ``LogField.eval``
+is reached.  Nor does the rule see options, modes or arguments that no run
+uses.  Tracing the lines executed (``sys.settrace``) over every CLI kind
+and every acceptance gate found those four methods and such options; it
+is the check to repeat for anything below the level of a definition.
 """
 import ast
 import importlib.util

@@ -33,8 +33,7 @@ def ops():
 @pytest.fixture(scope="module")
 def phi(ops):
     A0 = np.array([[float(x) for x in row] for row in ops.reduced])
-    mem, bend = construct_fundamental(A0, n_angular=64)
-    return PhiSharp(mem, bend)
+    return construct_fundamental(A0, n_angular=64)
 
 
 @pytest.fixture(scope="module")
@@ -67,14 +66,24 @@ class TestLayerMesh:
         assert m.R_theta >= 2 * m.inner_step        # two rings resolved
         assert m.theta_spec.startswith("disk")
 
-    def test_custom_indicator(self):
-        half = lambda eta: (np.abs(eta[:, 0]) <= 0.6) & (np.abs(eta[:, 1]) <= 0.6)
-        m = layer_mesh(theta=half)
-        pts = m.grid.nodes()[m.theta_nodes][:, :2]
-        assert np.abs(pts).max() <= 0.6 + 1e-12
-        assert "indicator" in m.theta_spec
-        r = layer_mesh(theta=half, R_theta=1.2)
-        assert r.R_theta == pytest.approx(1.2)
+    @pytest.mark.parametrize("radius, step", [(1.0, 0.25), (0.8, 0.4),
+                                              (0.9, 0.25)])
+    def test_patch_capture_rule(self, radius, step):
+        # radius 0.9 passes between node circles: R_theta reads the largest
+        # captured node radius, not the requested one
+        m = layer_mesh(inner_step=step, radius=radius)
+        bottom = m.grid.face_nodes(2, 0)
+        eta = m.grid.nodes()[bottom][:, :2]
+        rho = np.hypot(eta[:, 0], eta[:, 1])
+        inside = rho <= radius + 1e-12
+        assert np.array_equal(m.theta_nodes, np.sort(bottom[inside]))
+        assert m.R_theta == rho[inside].max()
+        assert m.theta_spec == f"disk:r={m.R_theta:g}"
+        patch = m.grid.nodes()[m.theta_nodes]
+        for other in (m.refined(), m.with_box(12.0)):
+            assert np.array_equal(other.grid.nodes()[other.theta_nodes],
+                                  patch)
+            assert other.R_theta == m.R_theta
 
     def test_validation_errors(self):
         with pytest.raises(MeshError):
@@ -86,9 +95,9 @@ class TestLayerMesh:
         with pytest.raises(MeshError):
             layer_mesh(inner_step=0.3)              # must divide the core
         with pytest.raises(MeshError):              # nothing captured
-            layer_mesh(theta=lambda eta: np.zeros(len(eta), dtype=bool))
-        with pytest.raises(MeshError):              # declared radius too small
-            layer_mesh(R_theta=0.5)
+            layer_mesh(radius=-1.0)
+        with pytest.raises(MeshError):              # fewer than two rings
+            layer_mesh(radius=0.4)
         with pytest.raises(MeshError):              # patch must stay < T/4
             layer_mesh(T=3.5)
         with pytest.raises(MeshError):              # fewer than two rings
@@ -342,14 +351,6 @@ class TestFarFieldExpansion:
             assert np.abs(vu[:, :2] - sign * vd[:, :2]).max() < 1e-12
             assert np.abs(vu[:, 2] + sign * vd[:, 2]).max() < 1e-12
 
-    def test_eval_stacks_columns(self, expansion):
-        pts = np.array([[5.0, 2.0, 0.1], [-3.0, 4.0, -0.3]])
-        full = expansion.eval(pts)
-        assert full.shape == (2, 3, 4)
-        for col in range(4):
-            assert np.array_equal(full[:, :, col],
-                                  expansion.eval_column(col, pts))
-
     def test_requires_normalized_membrane(self, phi, ops):
         raw = dataclasses.replace(phi.membrane, normalized=False)
         with pytest.raises(ContractError):
@@ -506,7 +507,7 @@ class TestCapacityInvariances:
         A[0, 0] *= 1.0 + 1e-7
         ops_near = build_dimension_reduction(A)
         A0 = np.array([[float(x) for x in r] for r in ops_near.reduced])
-        phi_near = PhiSharp(*construct_fundamental(A0, n_angular=64))
+        phi_near = construct_fundamental(A0, n_angular=64)
         cap_near, _ = extract_capacity(mesh, A, phi_near, ops_near)
         assert np.abs(cap_near.C - cap.C).max() <= 1e-6
 
