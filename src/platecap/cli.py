@@ -49,7 +49,7 @@ from .kirchhoff import (PlateDomain, load_from_spec, manufactured_bending,
                         solve_plate)
 from .layer import (ExtractionError, capacity_json, check_matching_window,
                     decay_csv, decay_trace, extract_capacity, layer_mesh)
-from .polyfield import Poly, PolyField, Q2, mat_to_float
+from .polyfield import Poly, PolyField, Q2
 from .reduction import (ReductionError, bending_table_direct,
                         build_dimension_reduction, membrane_table_direct,
                         residual_report)
@@ -410,6 +410,10 @@ def _validate_kirchhoff(p: dict) -> None:
     elif not load.startswith("file:") and load not in ("constant",
                                                        "sine-bump"):
         raise ConfigError(f"unknown load spec {load!r}")
+    default = DEFAULTS["kirchhoff"]
+    if p["study"] == "convergence" and (pt, load) != (
+            _float_list(default["point"], "point"), default["load"]):
+        raise ConfigError("--point and --load apply to --study solve only")
     parse_material(str(p["material"]))
     if p["study"] == "solve":
         try:
@@ -705,11 +709,9 @@ def run_ansatz_residual(cfg: ExperimentConfig):
 def run_capacity(cfg: ExperimentConfig):
     p = cfg.params
     A = parse_material(p["material"])
-    ops = build_dimension_reduction(A)
-    phi = construct_fundamental(mat_to_float(ops.reduced), n_angular=64)
     mesh = _capacity_mesh(p)
     annulus = tuple(_float_list(p["annulus"], "annulus"))
-    cap, pot = extract_capacity(mesh, A, phi, ops, annulus=annulus)
+    cap, pot = extract_capacity(mesh, A, annulus=annulus)
     log.info("capacity: defect %.4f, iterations %s, warning %s",
              cap.symmetry_defect, cap.iterations.tolist(), cap.warning)
     outputs = {cfg.output: capacity_json(cap)}

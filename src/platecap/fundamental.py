@@ -42,9 +42,7 @@ class SingularityError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A constructed Phi failed its defining contour identities."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +181,6 @@ class FundamentalMembrane:
     Psi: np.ndarray          # constant symmetric 2x2 ln r coefficient
     psi: np.ndarray          # (2, 2, n) Fourier coefficients of psi'(phi)
     n: int
-    normalized: bool = False
 
     def field(self, i: int, j: int) -> LogField:
         return LogField({0: (_const_coeffs(self.Psi[i, j], self.n),
@@ -278,8 +275,7 @@ def construct_fundamental(A0, n_angular: int = 1024) -> PhiSharp:
     report = verify_contour_identities((mem, bend), A0, 1.0)
     if report.max_defect > 1e-6:
         raise ConstructionError(
-            f"identity {report.worst!r} defect {report.max_defect:.3e}",
-            report)
+            f"identity {report.worst!r} defect {report.max_defect:.3e}")
     return PhiSharp(mem, bend)
 
 
@@ -339,8 +335,8 @@ def _energy_pairing(mem: FundamentalMembrane, A0, r, theta):
 
     The log part feeds the traction resultant back into the energy
     integral as an exact -ln(r) Psi' drift; with that drift removed the
-    pairing of the angular part does not depend on the radius, so it can
-    be checked or normalized on any contour."""
+    pairing of the angular part does not depend on the radius, so any
+    contour serves to check it or to shift it to zero."""
     w = TWO_PI * r / len(theta)            # trapezoid weight, ds = r dtheta
     G = _membrane_tractions(mem, A0, r, theta)
     phi_vals = np.array([[mem.field(i, j).circle(r) for j in range(2)]
@@ -447,5 +443,4 @@ def normalize_membrane(mem: FundamentalMembrane, A0) -> FundamentalMembrane:
     for i in range(2):
         for j in range(2):
             psi[i, j, 0] += C[i, j]
-    return FundamentalMembrane(Psi=mem.Psi.copy(), psi=psi, n=n,
-                               normalized=True)
+    return FundamentalMembrane(Psi=mem.Psi.copy(), psi=psi, n=n)

@@ -36,14 +36,15 @@ from numpy.polynomial.polynomial import polyval as _polyval
 from .elastic import rigid_motion_matrix
 from .fem import (ConstraintSet, EliminationSolver, MeshError,
                   StructuredGrid, assemble_elastic, assemble_pointwise_form)
-from .fundamental import verify_contour_identities
+from .fundamental import construct_fundamental
 from .inequalities import ContractError, cutoff
 from .polyfield import mat_to_float
-from .reduction import AnsatzOperators
+from .reduction import AnsatzOperators, build_dimension_reduction
 
 # perfbench/tracing.py wraps these names here; nothing in this module calls them
 from .elastic import full_operator, layer_operator_parts  # noqa: F401
 from .fem import assemble_load, solve_cg  # noqa: F401
+from .fundamental import verify_contour_identities  # noqa: F401
 
 __all__ = [
     "LayerMesh", "layer_mesh", "rigid_sharp", "grid_interpolate",
@@ -116,7 +117,6 @@ class LayerMesh:
     theta_nodes: np.ndarray
     outer_nodes: np.ndarray
     R_theta: float
-    theta_spec: str
     signature: str
 
     def refined(self) -> "LayerMesh":
@@ -184,15 +184,13 @@ def layer_mesh(T: float = 8.0, n_z: int = 6, inner_step: float = 0.25,
 
     outer = np.unique(np.concatenate([grid.face_nodes(a, s)
                                       for a in (0, 1) for s in (0, 1)]))
-    spec = f"disk:r={r_th:g}"
     sig = (f"box[{T:g}]x{n_z} step={inner_step:g} core={core_radius:g} "
            f"q={q:.4f} nodes={grid.n_nodes}")
     return LayerMesh(grid=grid, T=float(T), n_z=int(n_z),
                      inner_step=float(inner_step),
                      core_radius=float(core_radius), growth=float(q),
                      growth_cap=float(growth_cap), theta_nodes=theta_nodes,
-                     outer_nodes=outer, R_theta=r_th, theta_spec=spec,
-                     signature=sig)
+                     outer_nodes=outer, R_theta=r_th, signature=sig)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +298,6 @@ class FarFieldExpansion:
     """
 
     def __init__(self, phi, operators: AnsatzOperators):
-        if not getattr(phi.membrane, "normalized", False):
-            raise ContractError("fundamental matrices must be normalized "
-                                "(zero energy pairing on the unit circle)")
         self._fields = phi.fields()
         self._dcache = {}
         # zeta coefficients of component i applied to derivative (a, b) of
@@ -411,6 +406,8 @@ class FarFieldExpansion:
 _N_ANGULAR = 48
 _N_RADIAL = 6
 _CHI_SCALE = 2.0
+# Phi of a capacity run is built on _PHI_ANGULAR plane-wave angles.
+_PHI_ANGULAR = 64
 # A column is verified when the literal sweep after the closure solve moves
 # its coefficients by at most _SWEEP_TOL; a column whose fit residual
 # exceeds _RESIDUAL_WARN times its drift scale is flagged.
@@ -485,8 +482,6 @@ class _AnnulusFitter:
         self.points = np.column_stack([(R * np.cos(P)).ravel(),
                                        (R * np.sin(P)).ravel(), Z.ravel()])
         self.weights = (R * dr * dphi * dz).ravel()
-        self.mesh = mesh
-        self.annulus = (float(a0), float(a1))
         self._stencil = _trilinear(mesh.grid, self.points)
         self.stencil_nodes = np.unique(self._stencil[0])
         self.D = rigid_sharp(self.points)
@@ -501,8 +496,8 @@ class _AnnulusFitter:
         self.colscale = np.where(rms > 0, rms, 1.0)
         Bs = B / self.colscale
         self._Bs = Bs
-        self.gram = np.einsum("q,qim,qin->mn", self.weights, Bs, Bs)
-        self._solve = _gram_solver(self.gram)
+        self._solve = _gram_solver(np.einsum("q,qim,qin->mn", self.weights,
+                                             Bs, Bs))
         # radial sub-bands for the systematic part of the error bar: shells
         # are contiguous blocks of the point ordering
         per_shell = n_angular * nt
@@ -598,9 +593,7 @@ class CapacityMatrix:
     converged: np.ndarray         # (4,) bool: verification sweep within
                                   # _SWEEP_TOL
     warning: bool                 # some residual exceeded its threshold
-    T: float
-    mesh_signature: str
-    theta_spec: str
+    mesh: LayerMesh
     material: np.ndarray          # 6x6 stiffness
     annulus: tuple
 
@@ -631,8 +624,7 @@ def check_matching_window(mesh: LayerMesh, annulus) -> None:
                             "the cutoff transition")
 
 
-def extract_capacity(mesh: LayerMesh, A, phi,
-                     operators: AnsatzOperators, *, annulus=(0.55, 0.8)):
+def extract_capacity(mesh: LayerMesh, A, *, annulus=(0.55, 0.8)):
     """Capacity of the clamped patch by far-field matching.
 
     For each far-field column the outer walls carry the template plus a
@@ -650,21 +642,16 @@ def extract_capacity(mesh: LayerMesh, A, phi,
     two growth orders down that carry the dominant part of what the finite
     walls would otherwise chop.  The capacity is read off the rigid
     coefficients alone.  annulus sets the matching window in units of T.
+    A alone fixes the ansatz operators and Phi; construct_fundamental raises
+    ConstructionError if Phi fails its contour identities.
     Returns (CapacityMatrix, PotentialSolution).
     """
     check_matching_window(mesh, annulus)
+    operators = build_dimension_reduction(A)
+    phi = construct_fundamental(mat_to_float(operators.reduced),
+                                n_angular=_PHI_ANGULAR)
     expansion = FarFieldExpansion(phi, operators)
     Amat = mat_to_float(A)
-    ops_A = mat_to_float(operators.stiffness)
-    if np.abs(ops_A - Amat).max() > 1e-9 * max(np.abs(Amat).max(), 1.0):
-        raise ContractError("ansatz operators were built for a "
-                            "different material")
-    report = verify_contour_identities(phi, mat_to_float(operators.reduced),
-                                       1.0)
-    if report.max_defect > 1e-6:
-        raise ContractError("fundamental matrices do not satisfy the "
-                            "defining contour identities for this "
-                            f"material (defect {report.max_defect:.3e})")
 
     fitter = _AnnulusFitter(mesh, annulus=annulus,
                             extra=expansion.enrichment_basis)
@@ -777,9 +764,7 @@ def extract_capacity(mesh: LayerMesh, A, phi,
                          fit_residuals=residuals, error_bars=bars,
                          band_spread=spread, correction_bars=corr_bars,
                          iterations=np.full(4, 2), converged=converged,
-                         warning=warning, T=mesh.T,
-                         mesh_signature=mesh.signature,
-                         theta_spec=mesh.theta_spec, material=Amat,
+                         warning=warning, mesh=mesh, material=Amat,
                          annulus=(float(a0), float(a1)))
     pot = PotentialSolution(mesh=mesh, columns=columns, c=C, x=X,
                             expansion=expansion)
@@ -845,10 +830,10 @@ def decay_trace(pot: PotentialSolution) -> DecayTrace:
 def capacity_json(cap: CapacityMatrix) -> str:
     """Deterministic JSON record of one capacity run."""
     rec = {
-        "T": cap.T,
-        "mesh": cap.mesh_signature,
+        "T": cap.mesh.T,
+        "mesh": cap.mesh.signature,
         "material": [float(x) for x in cap.material.ravel()],
-        "theta_spec": cap.theta_spec,
+        "theta_spec": f"disk:r={cap.mesh.R_theta:g}",
         "C_sharp": [float(x) for x in cap.C.ravel()],
         "symmetry_defect": cap.symmetry_defect,
         "fit_residuals": [float(x) for x in cap.fit_residuals],

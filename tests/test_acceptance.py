@@ -201,21 +201,17 @@ def test_06_korn_scaling():
 
 def test_07_capacity_matrix():
     t0 = time.perf_counter()
-    ops = build_dimension_reduction(A_ISO)
-    A0 = np.array([[float(x) for x in row] for row in ops.reduced])
-    phi = construct_fundamental(A0, 64)
-
     mesh = layer_mesh()                       # T=8, n_z=6, unit disk patch
-    cap, _ = extract_capacity(mesh, A_ISO, phi, ops)
+    cap, _ = extract_capacity(mesh, A_ISO)
     assert cap.converged.all()
     assert (cap.iterations <= 4).all(), cap.iterations
     assert cap.symmetry_defect <= 0.05, cap.symmetry_defect
 
-    fine, _ = extract_capacity(mesh.refined(), A_ISO, phi, ops)
+    fine, _ = extract_capacity(mesh.refined(), A_ISO)
     assert fine.symmetry_defect < cap.symmetry_defect, \
         (cap.symmetry_defect, fine.symmetry_defect)
 
-    wide, _ = extract_capacity(mesh.with_box(12.0), A_ISO, phi, ops)
+    wide, _ = extract_capacity(mesh.with_box(12.0), A_ISO)
     drift = np.abs(cap.C - wide.C)
     budget = cap.error_bars + wide.error_bars
     assert (drift <= budget).all(), (drift, budget)

@@ -121,8 +121,10 @@ class TestConfigResolution:
             (["run", "korn-sweep", "--h", "0.1,zap"], "float list"),
             (["run", "korn-sweep", "--J", "5"], "layout"),
             (["run", "kirchhoff", "--spacing", "0.9"], "spacing"),
-            (["run", "kirchhoff", "--point", "1.5,0.5"], "point"),
-            (["run", "kirchhoff", "--load", "gaussian"], "load"),
+            (["run", "kirchhoff", "--study", "solve", "--point", "1.5,0.5"],
+             "point"),
+            (["run", "kirchhoff", "--study", "solve", "--load", "gaussian"],
+             "load"),
             (["run", "fundsol-verify", "--radii", "0,1"], "radii"),
             (["run", "fundsol-verify", "--n-angular", "8"], "n_angular"),
             (["run", "ansatz-residual", "--degree", "11"], "degree"),
@@ -215,6 +217,23 @@ class TestMainEntry:
             assert frag in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("dry", [[], ["--dry-run"]])
+    def test_kirchhoff_convergence_rejects_solve_flags(self, tmp_path, capsys,
+                                                       dry):
+        # the convergence study solves manufactured problems: a support
+        # point or a load it would ignore is a configuration error
+        out = tmp_path / "c.csv"
+        for flags in (["--point", "0.3,0.3"], ["--load", "constant"]):
+            rc = run_cli(["run", "kirchhoff", "--levels", "1"] + flags
+                         + ["-o", str(out)] + dry)
+            assert rc == 2, flags
+            assert "apply to --study solve only" in capsys.readouterr().err
+            assert not out.exists()
+        # the defaults, spelled out, are what the study runs with
+        rc = run_cli(["run", "kirchhoff", "--point", "0.5,0.5", "--load",
+                      "sine-bump", "--dry-run"])
+        assert rc == 0
+
     def test_bad_log_level_exit_2(self, monkeypatch, capsys):
         monkeypatch.setenv("PLATECAP_LOG", "chatty")
         rc = run_cli(["run", "hardy", "--dry-run"])
@@ -232,13 +251,20 @@ class TestMainEntry:
         ("construct_fundamental",
          ConstructionError("identity 'biorthogonality' defect 4.028e-05"),
          ["fundsol-verify", "--n-angular", "16"]),
+        # a capacity run builds its Phi inside the extraction; a target
+        # without a module is patched in platecap.cli
+        ("layer.construct_fundamental",
+         ConstructionError("identity 'bending charge' defect 2.1e-04"),
+         ["capacity", "--nz", "2", "--inner-step", "0.5",
+          "--growth-cap", "3"]),
     ])
     def test_compute_error_exit_1(self, tmp_path, capsys, monkeypatch,
                                   target, error, argv):
         def fail(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(f"platecap.cli.{target}", fail)
+        module, _, name = target.rpartition(".")
+        monkeypatch.setattr(f"platecap.{module or 'cli'}.{name}", fail)
         out = tmp_path / "out"
         rc = run_cli(["run"] + argv + ["-o", str(out)])
         assert rc == 1

@@ -13,13 +13,13 @@ from platecap.elastic import (full_operator, isotropic_stiffness,
 from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           StructuredGrid, assemble_elastic, assemble_load,
                           solve_cg)
-from platecap.fundamental import construct_fundamental, PhiSharp
+from platecap.fundamental import construct_fundamental
 from platecap.inequalities import ContractError
 from platecap.layer import (ExtractionError, FarFieldExpansion,
                             capacity_json, decay_csv, decay_trace,
                             extract_capacity, grid_interpolate, layer_mesh,
                             rigid_sharp, v01_norm)
-from platecap.polyfield import Poly, PolyField
+from platecap.polyfield import Poly, PolyField, mat_to_float
 from platecap.reduction import build_dimension_reduction
 
 A1 = isotropic_stiffness(1.0, 1.0)
@@ -32,13 +32,13 @@ def ops():
 
 @pytest.fixture(scope="module")
 def phi(ops):
-    A0 = np.array([[float(x) for x in row] for row in ops.reduced])
-    return construct_fundamental(A0, n_angular=64)
+    return construct_fundamental(mat_to_float(ops.reduced),
+                                 n_angular=layer._PHI_ANGULAR)
 
 
 @pytest.fixture(scope="module")
-def expansion(phi, ops):
-    return FarFieldExpansion(phi, ops)
+def expansion(ops, phi):
+    return FarFieldExpansion(phi, operators=ops)
 
 
 class TestLayerMesh:
@@ -64,7 +64,6 @@ class TestLayerMesh:
         assert r.max() <= 1.0 + 1e-9
         assert m.R_theta == pytest.approx(1.0)
         assert m.R_theta >= 2 * m.inner_step        # two rings resolved
-        assert m.theta_spec.startswith("disk")
 
     @pytest.mark.parametrize("radius, step", [(1.0, 0.25), (0.8, 0.4),
                                               (0.9, 0.25)])
@@ -78,7 +77,6 @@ class TestLayerMesh:
         inside = rho <= radius + 1e-12
         assert np.array_equal(m.theta_nodes, np.sort(bottom[inside]))
         assert m.R_theta == rho[inside].max()
-        assert m.theta_spec == f"disk:r={m.R_theta:g}"
         patch = m.grid.nodes()[m.theta_nodes]
         for other in (m.refined(), m.with_box(12.0)):
             assert np.array_equal(other.grid.nodes()[other.theta_nodes],
@@ -351,11 +349,6 @@ class TestFarFieldExpansion:
             assert np.abs(vu[:, :2] - sign * vd[:, :2]).max() < 1e-12
             assert np.abs(vu[:, 2] + sign * vd[:, 2]).max() < 1e-12
 
-    def test_requires_normalized_membrane(self, phi, ops):
-        raw = dataclasses.replace(phi.membrane, normalized=False)
-        with pytest.raises(ContractError):
-            FarFieldExpansion(PhiSharp(raw, phi.bending), ops)
-
 
 class TestFarFieldDerivatives:
     def test_first_derivative_matches_finite_difference(self, expansion):
@@ -407,10 +400,10 @@ class TestFarFieldDerivatives:
 
 
 @pytest.fixture(scope="module")
-def coarse_run(ops, phi):
+def coarse_run():
     """One full extraction on a deliberately coarse but valid box."""
     mesh = layer_mesh(n_z=3, inner_step=0.5, growth_cap=1.5)
-    cap, pot = extract_capacity(mesh, A1, phi, ops)
+    cap, pot = extract_capacity(mesh, A1)
     return cap, pot, mesh
 
 
@@ -421,13 +414,13 @@ class TestCapacityExtraction:
         assert (cap.iterations == 2).all()
         assert not cap.warning
 
-    def test_verification_sweep_confirms_fixed_point(self, coarse_run, ops,
-                                                     phi, monkeypatch):
+    def test_verification_sweep_confirms_fixed_point(self, coarse_run,
+                                                     monkeypatch):
         # the closure is exact: the literal sweep stays far below the
         # default tolerance
         _, _, mesh = coarse_run
         monkeypatch.setattr(layer, "_SWEEP_TOL", 1e-9)
-        cap, _ = extract_capacity(mesh, A1, phi, ops)
+        cap, _ = extract_capacity(mesh, A1)
         assert cap.converged.all()
         assert not cap.warning
 
@@ -461,8 +454,7 @@ class TestCapacityExtraction:
 
     def test_result_metadata(self, coarse_run):
         cap, pot, mesh = coarse_run
-        assert cap.T == mesh.T
-        assert cap.mesh_signature == mesh.signature
+        assert cap.mesh is mesh
         assert np.array_equal(pot.c, cap.C)
         assert cap.annulus == (0.55, 0.8)
 
@@ -483,18 +475,17 @@ class TestCapacityExtraction:
 
 
 class TestCapacityInvariances:
-    def test_annulus_quadrature_doubling(self, coarse_run, ops, phi,
-                                         monkeypatch):
+    def test_annulus_quadrature_doubling(self, coarse_run, monkeypatch):
         cap, _, mesh = coarse_run
         monkeypatch.setattr(layer, "_N_ANGULAR", 96)
         monkeypatch.setattr(layer, "_N_RADIAL", 12)
-        cap2, _ = extract_capacity(mesh, A1, phi, ops)
+        cap2, _ = extract_capacity(mesh, A1)
         dC = np.abs(cap.C - cap2.C)
         assert (dC <= cap.error_bars + cap2.error_bars).all()
 
-    def test_annulus_shift(self, coarse_run, ops, phi):
+    def test_annulus_shift(self, coarse_run):
         cap, _, mesh = coarse_run
-        cap2, _ = extract_capacity(mesh, A1, phi, ops, annulus=(0.5, 0.75))
+        cap2, _ = extract_capacity(mesh, A1, annulus=(0.5, 0.75))
         dC = np.abs(cap.C - cap2.C)
         assert (dC <= cap.error_bars + cap2.error_bars).all()
 
@@ -505,10 +496,7 @@ class TestCapacityInvariances:
         cap, _, mesh = coarse_run
         A = np.array([[float(x) for x in row] for row in A1])
         A[0, 0] *= 1.0 + 1e-7
-        ops_near = build_dimension_reduction(A)
-        A0 = np.array([[float(x) for x in r] for r in ops_near.reduced])
-        phi_near = construct_fundamental(A0, n_angular=64)
-        cap_near, _ = extract_capacity(mesh, A, phi_near, ops_near)
+        cap_near, _ = extract_capacity(mesh, A)
         assert np.abs(cap_near.C - cap.C).max() <= 1e-6
 
 
@@ -536,62 +524,36 @@ class TestFixedPointGuards:
         (21, "column 0: non-finite probe sweep"),
         (25, "column 0: non-finite verification sweep"),
     ], ids=["nan-probe", "nan-update"])
-    def test_guard_raises(self, coarse_run, ops, phi, monkeypatch, good,
-                          message):
+    def test_guard_raises(self, coarse_run, monkeypatch, good, message):
         _, _, mesh = coarse_run
         _corrupt_fits(monkeypatch, good)
         with pytest.raises(ExtractionError, match=message):
-            extract_capacity(mesh, A1, phi, ops)
+            extract_capacity(mesh, A1)
 
-    def test_sweep_cap_reports_unconverged(self, coarse_run, ops, phi,
-                                           monkeypatch):
+    def test_sweep_cap_reports_unconverged(self, coarse_run, monkeypatch):
         _, _, mesh = coarse_run
         monkeypatch.setattr(layer, "_SWEEP_TOL", -1.0)
-        cap, pot = extract_capacity(mesh, A1, phi, ops)
+        cap, pot = extract_capacity(mesh, A1)
         assert not cap.converged.any()
         assert (cap.iterations == 2).all()
         assert cap.warning
 
 
 class TestCapacityContracts:
-    def test_requires_normalized_fundamentals(self, coarse_run, ops, phi):
-        _, _, mesh = coarse_run
-        raw = PhiSharp(dataclasses.replace(phi.membrane, normalized=False),
-                       phi.bending)
-        with pytest.raises(ContractError):
-            extract_capacity(mesh, A1, raw, ops)
-
-    def test_box_too_small_for_matching(self, ops, phi):
+    def test_box_too_small_for_matching(self):
         mesh = layer_mesh(T=6.0, n_z=3, inner_step=0.5)
         with pytest.raises(ContractError):
-            extract_capacity(mesh, A1, phi, ops)
+            extract_capacity(mesh, A1)
 
-    def test_annulus_overlapping_near_field(self, coarse_run, ops, phi):
+    def test_annulus_overlapping_near_field(self, coarse_run):
         _, _, mesh = coarse_run
         with pytest.raises(ContractError):
-            extract_capacity(mesh, A1, phi, ops, annulus=(0.2, 0.4))
+            extract_capacity(mesh, A1, annulus=(0.2, 0.4))
 
-    def test_material_mismatch(self, coarse_run, ops, phi):
-        _, _, mesh = coarse_run
-        doubled = 2.0 * np.array([[float(x) for x in row] for row in A1])
-        with pytest.raises(ContractError):
-            extract_capacity(mesh, doubled, phi, ops)
-
-    def test_fundamental_mismatch(self, coarse_run, ops):
-        _, _, mesh = coarse_run
-        s = np.diag([1.15, 0.9, 1.05, 0.95, 1.1, 0.85])
-        A_other = s @ np.array([[float(x) for x in row] for row in A1]) @ s
-        ops_other = build_dimension_reduction(A_other)
-        A0 = np.array([[float(x) for x in r] for r in ops_other.reduced])
-        phi_other = construct_fundamental(A0, n_angular=64)
-        with pytest.raises(ContractError):
-            extract_capacity(mesh, A1, phi_other, ops)
-
-    def test_residual_threshold_warning(self, coarse_run, ops, phi,
-                                        monkeypatch):
+    def test_residual_threshold_warning(self, coarse_run, monkeypatch):
         _, _, mesh = coarse_run
         monkeypatch.setattr(layer, "_RESIDUAL_WARN", 1e-9)
-        cap, _ = extract_capacity(mesh, A1, phi, ops)
+        cap, _ = extract_capacity(mesh, A1)
         assert cap.warning
 
 
@@ -614,7 +576,7 @@ class TestCapacityReports:
         assert slopes[2] < 2.0
 
     def test_capacity_json_roundtrip_and_determinism(self, coarse_run):
-        cap, _, _ = coarse_run
+        cap, _, mesh = coarse_run
         s = capacity_json(cap)
         assert s == capacity_json(cap)
         assert s.endswith("\n")
@@ -625,6 +587,7 @@ class TestCapacityReports:
                             "annulus", "mode", "closure", "warning"}
         assert rec["C_sharp"] == [float(x) for x in cap.C.ravel()]
         assert rec["closure"] == "enriched" and rec["mode"] == "affine"
+        assert rec["theta_spec"] == f"disk:r={mesh.R_theta:g}"
         assert len(rec["material"]) == 36
 
     def test_decay_csv_format(self, coarse_run):
