@@ -1,4 +1,5 @@
 """Structured FEM: assembly oracles, CG, constrained solves, eigenpairs."""
+import logging
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,12 @@ from platecap.elastic import (isotropic_stiffness, reduced_stiffness,
                               rigid_motion_matrix, strain_matrix)
 from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           SolverError, SparseSystem, StructuredGrid,
-                          _ref_quadrature, _shape_gradients, _shape_values,
+                          _mirror_axes, _ref_quadrature, _shape_gradients,
+                          _shape_values,
                           apply_mass, assemble_elastic, assemble_load,
                           assemble_pointwise_form, nested_dissection,
                           smallest_eigenpair, solve_cg, solve_constrained)
+from platecap.inequalities import SupportLayout, korn_system
 from platecap.kirchhoff import PlateDomain, bending_system
 
 I6 = np.eye(6)
@@ -671,3 +674,116 @@ class TestNestedDissection:
         for j in range(5):
             x = solver.solve(fixed_values=data[:, j])
             assert np.abs(X[:, j] - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def _plain_factor(sysm):
+    """Reference: the free block factored in the plain nested-dissection
+    order of the whole grid, with the solver's SuperLU options."""
+    shape = sysm.grid_shape
+    ncomp = sysm.n // int(np.prod(shape))
+    order = nested_dissection(shape, width=sysm.grid_reach)
+    dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
+    q = dofs[np.isin(dofs, sysm.free_dofs())]
+    K = sysm.matrix.tocsr()
+    return spla.splu(K[q][:, q].tocsc(), permc_spec="NATURAL",
+                     diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
+
+
+def _mirror_box(divisions, nodes, A=None, seed=4):
+    """Box symmetric about x1 = 0 and x2 = 0, the nodes picked by
+    nodes(grid) clamped to random values, with a random load."""
+    g = StructuredGrid.uniform((-1, -1, 0), (1, 1, 0.5), divisions)
+    cs = ConstraintSet(ncomp=3)
+    rng = np.random.default_rng(seed)
+    for node in nodes(g):
+        for c in range(3):
+            cs.fix(int(node), c, float(rng.normal()))
+    A = isotropic_stiffness(1.5, 1.0) if A is None else A
+    sysm = assemble_elastic(g, A, cs)
+    sysm.rhs = rng.normal(size=sysm.n)
+    return sysm
+
+
+def _bottom(g):
+    return g.face_nodes(2, 0)
+
+
+def _all_faces(g):
+    return np.unique(np.concatenate([g.face_nodes(a, s) for a in range(3)
+                                     for s in (0, 1)]))
+
+
+def _walls_and_patch(g):
+    """The four side walls and the bottom nodes within 0.3 of the axis,
+    as on the capacity layer box."""
+    bottom = g.face_nodes(2, 0)
+    pts = g.nodes()[bottom]
+    walls = [g.face_nodes(a, s) for a in (0, 1) for s in (0, 1)]
+    return np.unique(np.concatenate(
+        walls + [bottom[np.hypot(pts[:, 0], pts[:, 1]) <= 0.3]]))
+
+
+class TestParitySolver:
+    # (4, 5, 3) cells: 5 nodes on x1 put a mirror plane of nodes on the
+    # axis, 6 nodes on x2 pair every node with another
+    @pytest.mark.parametrize("divisions, nodes, axes", [
+        ((4, 5, 3), _bottom, (0, 1)),
+        ((5, 4, 4), _all_faces, (0, 1, 2))])
+    def test_matches_spsolve(self, divisions, nodes, axes):
+        sysm = _mirror_box(divisions, nodes)
+        solver = EliminationSolver(sysm)
+        free, fixed = solver.free, solver.fixed
+        K = sysm.matrix.tocsr()
+        assert _mirror_axes(K, free, sysm.grid_shape)[1] == axes
+        T = solver._T
+        assert np.abs((T @ T.T - sp.eye(len(free))).toarray()).max() < 1e-15
+        data = np.column_stack([solver.fixed_values, np.random.default_rng(
+            9).normal(size=(len(fixed), 3))])
+        refs = spla.spsolve(K[free][:, free].tocsc(),
+                            sysm.rhs[free][:, None] - K[free][:, fixed] @ data)
+        x = solver.solve()
+        X = solver.solve(fixed_values=data)
+        scale = np.abs(refs).max()
+        assert np.abs(x[free] - refs[:, 0]).max() <= 1e-10 * scale
+        assert np.abs(X[free] - refs).max() <= 1e-10 * scale
+        assert np.array_equal(X[fixed], data)
+
+    def test_fill_below_plain_order(self):
+        sysm = _mirror_box((16, 16, 3), _walls_and_patch)
+        solver = EliminationSolver(sysm)
+        assert solver._T is not None
+        assert solver._lu.nnz < 0.75 * _plain_factor(sysm).nnz
+
+    @staticmethod
+    def _fallback(case):
+        if case == "random-material":
+            B = np.random.default_rng(2).normal(size=(6, 6))
+            return _mirror_box((4, 5, 3), _bottom, A=B @ B.T + 6 * I6)
+        if case == "off-centre-node":
+            return _mirror_box((4, 5, 3), lambda g: np.append(
+                g.face_nodes(2, 0), g.face_nodes(2, 1)[7]))
+        if case == "korn":
+            layout = SupportLayout(centers=((0.35, 0.4), (0.65, 0.6)),
+                                   R=1.0, h=0.2)
+            return korn_system(layout, isotropic_stiffness(1.0, 1.0),
+                               "plain")[0]
+        return _bending(1.0 / 16)
+
+    @pytest.mark.parametrize("case", ["random-material", "off-centre-node",
+                                      "korn", "plate-bending"])
+    def test_fallback_keeps_plain_factor(self, case):
+        sysm = self._fallback(case)
+        solver = EliminationSolver(sysm)
+        assert solver._T is None
+        assert solver._lu.nnz == _plain_factor(sysm).nnz
+
+    def test_info_line_per_factorization(self, caplog):
+        sysm = _mirror_box((4, 5, 3), _bottom)
+        with caplog.at_level(logging.INFO, logger="platecap.fem"):
+            solver = EliminationSolver(sysm)
+        [record] = caplog.records
+        msg = record.getMessage()
+        assert f"{len(solver.free)} free dofs" in msg
+        assert "mirror axes (0, 1)" in msg
+        assert f"L+U nnz {solver._lu.nnz}" in msg

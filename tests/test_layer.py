@@ -500,6 +500,48 @@ class TestCapacityInvariances:
         assert np.abs(cap_near.C - cap.C).max() <= 1e-6
 
 
+# ROADMAP item 10's orthotropic material O, symmetric under the mirrors of
+# both in-plane axes, in column order (e11, e22, sqrt2 e12, sqrt2 e13,
+# sqrt2 e23, e33)
+O_ORTHO = np.diag([4.0, 1.5, 1.4, 1.8, 1.0, 2.0])
+O_ORTHO[0, 1] = O_ORTHO[1, 0] = 0.8
+O_ORTHO[0, 5] = O_ORTHO[5, 0] = 0.9
+O_ORTHO[1, 5] = O_ORTHO[5, 1] = 0.6
+
+
+def _mandel_rotation(R):
+    """6x6 Mandel matrix of the strain rotation e -> R e R^T."""
+    pairs = ((0, 0), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2))
+    w = np.array([1.0, 1.0, np.sqrt(2.0), np.sqrt(2.0), np.sqrt(2.0), 1.0])
+    M = np.zeros((6, 6))
+    for j, (k, l) in enumerate(pairs):
+        E = np.zeros((3, 3))
+        E[k, l] = E[l, k] = 1.0 / w[j]
+        F = R @ E @ R.T
+        M[:, j] = w * np.array([F[p] for p in pairs])
+    return M
+
+
+class TestCapacityCovariance:
+    def test_quarter_turn_and_mirror(self, coarse_run):
+        # the columns are the translations and the in-plane rotation
+        # vector, so a turn R of the plane acts on C as diag(R, R); the
+        # box and the disk are invariant under a quarter turn
+        mesh = coarse_run[2]
+        R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        M = _mandel_rotation(R)
+        cap, _ = extract_capacity(mesh, O_ORTHO)
+        turned, _ = extract_capacity(mesh, M @ O_ORTHO @ M.T)
+        R4 = np.kron(np.eye(2), R[:2, :2])
+        assert np.abs(turned.C - R4 @ cap.C @ R4.T).max() <= 1e-10
+        assert np.abs(turned.error_bars - np.abs(R4) @ cap.error_bars
+                      @ np.abs(R4).T).max() <= 1e-10
+        # y2 -> -y2 maps O to itself and flips t2 and the rotation about
+        # y1 (a rotation vector is a pseudovector)
+        S4 = np.diag([1.0, -1.0, -1.0, 1.0])
+        assert np.abs(cap.C - S4 @ cap.C @ S4).max() <= 1e-10
+
+
 def _corrupt_fits(monkeypatch, good: int):
     """Let the first `good` annulus fits through and give every later one
     (the probe or verification sweep, then the correction carriers)
