@@ -21,25 +21,22 @@ factors the free block once and then solves any number of right-hand sides
 per call.  Every system it factors lives on a node grid and remembers its
 shape and the reach of its couplings: Q1 assembly couples nearest
 neighbours (reach 1), the plate's bending matrix nodes two apart (reach 2).
-The free block is factored in geometric nested-dissection order (George
-1973), cut by slabs as wide as that reach, with SuperLU's own column
-ordering and pivoting switched off; that ordering keeps the L+U fill of the
-3D layer box about a third below COLAMD's.
-
-A 3D displacement system whose free block is symmetric under the mirror of
-one or more grid axes (node index i_a -> n_a - 1 - i_a, component a
-negated) is factored in a symmetry-adapted basis (Bossavit 1986): one
-block per parity class, each on the fundamental box of the mirrors, all
-in one SuperLU call.  On the capacity layer box (mirrors in y1 and y2, for
-every material with those two mirror planes) the four quarter-box blocks
-take a third less L+U fill and about half the factor time of the whole
-box.  The mirror must hold within 1e-14 of the largest free-block entry:
-the assembly's own mirror asymmetry is round-off, 2.7e-15 against 18.5 on
-that box, while a material off the mirror pattern misses by O(1).  So the
-reduced solves agree with the full factor to round-off.  2D systems are
-never reduced: on a plate at spacing 1/128 the blocks saved 15-30 ms of
-SuperLU time and the basis cost more.  Every other system is factored
-whole, as above.
+The free block is factored in a symmetry-adapted basis (Bossavit 1986) of
+the grid axes whose mirror (node index i_a -> n_a - 1 - i_a, component a
+negated) maps it to itself: one block per parity class, each on the
+fundamental box of the mirrors in geometric nested-dissection order (George
+1973), cut by slabs as wide as that reach, all in one SuperLU call with its
+own column ordering and pivoting switched off.  A system with no mirror is
+the case of no axes: one block, the whole grid in nested-dissection order,
+whose L+U fill on the 3D layer box is about a third below COLAMD's.  On
+the capacity layer box (mirrors in y1 and y2, for every material with
+those two mirror planes) the four quarter-box blocks take a third less L+U
+fill and about half the factor time of the whole box.  The mirror must
+hold within 1e-14 of the largest matrix entry: the assembly's own mirror
+asymmetry is round-off, 2.7e-15 against 18.5 on that box, while a material
+off the mirror pattern misses by O(1).  So the reduced solves agree with
+the full factor to round-off.  2D systems are never reduced: on a plate
+the basis costs more than the blocks save.
 
 The smallest eigenpair of a pencil (K, M) comes from ARPACK in shift-invert
 mode, whose inner solves reuse that one factorization of K.  The iterative
@@ -482,53 +479,48 @@ def nested_dissection(shape: Sequence[int], width: int = 1) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _mirror_axes(K: sp.csr_matrix, free: np.ndarray, shape: tuple):
-    """(K_ff, axes): the grid axes whose mirror maps the free block K_ff of
-    a 3D displacement system to itself, and that block; (None, ()) when
-    the free dofs have no mirror.
+def _mirror_axes(K: sp.csr_matrix, free: np.ndarray, shape: tuple) -> tuple:
+    """The grid axes whose mirror maps the free block of a 3D displacement
+    system to itself; () for any other system.
 
     The mirror of axis a maps node index i_a to n_a - 1 - i_a and negates
     displacement component a.  It must map the free dofs to themselves, an
-    O(n) check that runs first, and K_ff to itself within _MIRROR_RTOL
-    times its largest entry.  The rows of the half i_a >= n_a // 2 hold
-    every pair of mirrored entries, so only they are compared.
+    O(n) check that runs first, and the free rows of K to themselves within
+    _MIRROR_RTOL times the largest entry of K.  The rows of the half
+    i_a >= n_a // 2 hold every pair of mirrored entries, so only they are
+    compared.  2D systems are never reduced: on a plate at spacing 1/128
+    the blocks saved 15-30 ms of SuperLU time and the basis cost more.
     """
     n = K.shape[0]
     ncomp = n // int(np.prod(shape))
     if not len(shape) == ncomp == 3:
-        return None, ()
+        return ()
     mask = np.zeros(n, dtype=bool)
     mask[free] = True
     mask = mask.reshape(*shape, ncomp)
     candidates = [a for a in range(3)
                   if np.array_equal(mask, np.flip(mask, axis=a))]
-    if not candidates:
-        return None, ()
-    Kff = K[free][:, free]
-    tol = _MIRROR_RTOL * np.abs(Kff.data).max()
-    pos = np.full(n, -1)
-    pos[free] = np.arange(len(free))
     dofs = np.arange(n).reshape(*shape, ncomp)
     coords = np.unravel_index(free // ncomp, shape)
     axes = []
     for a in candidates:
-        image = pos[np.flip(dofs, axis=a).ravel()[free]]
-        sign = np.where(free % ncomp == a, -1.0, 1.0)
-        half = np.flatnonzero(coords[a] >= shape[a] // 2)
-        R = Kff[image[half]]
+        image = np.flip(dofs, axis=a).ravel()
+        sign = np.where(np.arange(n) % ncomp == a, -1.0, 1.0)
+        half = free[coords[a] >= shape[a] // 2]
+        R = K[image[half]]
         data = R.data * sign[R.indices] * np.repeat(sign[half],
                                                     np.diff(R.indptr))
         R = sp.csr_matrix((data, image[R.indices], R.indptr), shape=R.shape)
-        if abs(R - Kff[half]).max() <= tol:
+        if abs(R - K[half]).max() <= _MIRROR_RTOL * np.abs(K.data).max():
             axes.append(a)
-    return Kff, tuple(axes)
+    return tuple(axes)
 
 
-def _parity_blocks(Kff: sp.csr_matrix, free: np.ndarray, shape: tuple,
+def _parity_blocks(K: sp.csr_matrix, free: np.ndarray, shape: tuple,
                    axes: tuple, width: int):
-    """(T, blocks): the orthonormal basis of the free dofs over the parity
-    classes of the mirrors of ``axes``, and the diagonal blocks of
-    T K_ff T^T, one per class.
+    """(T, A, sizes): the orthonormal basis T of the free dofs over the
+    parity classes of the mirrors of ``axes``, T K_ff T^T in CSC with one
+    diagonal block per class, and the block sizes.
 
     A class is odd under the mirrors of a set e of the axes and even under
     the rest.  Its basis vector of a free dof r in the fundamental box
@@ -540,58 +532,89 @@ def _parity_blocks(Kff: sp.csr_matrix, free: np.ndarray, shape: tuple,
     in k.  A dof on the plane of axis a belongs only to the classes whose
     parity under a is that of its component (odd for component a, even for
     the others); the other classes drop it.  Rows go by class, then by the
-    nested-dissection order of the fundamental box.
+    nested-dissection order of the fundamental box.  With no axes there is
+    one class on the whole grid: T is the nested-dissection permutation of
+    the free dofs and its block is K_ff in that order.
 
-    K_ff commutes with the mirrors, so the block of class e is
-    sqrt(|orbit of r|) K_ff[r] T_e^T over its rows r: only the rows of
-    the representatives are read, and no cross-class entry is formed.
+    K commutes with the mirrors, so the block of class e is
+    sqrt(|orbit of r|) K[r] T_e^T over its rows r: only the rows of the
+    representatives are read, and no cross-class entry is formed.  Every
+    free dof lies in one orbit, so column c of T_e holds at most one entry
+    (j, t), and the product is a fold: column c of those rows becomes
+    column j, scaled by t, and entries that meet in one column are summed.
+    Unlike a sparse product, the fold keeps the assembly's stored zeros,
+    on which SuperLU's supernodes rely: dropping them from a Korn block
+    slowed its factor by 4-12 % although L+U shrank.
     """
-    ncomp = 3
-    fshape = tuple(n - n // 2 if a in axes else n
-                   for a, n in enumerate(shape))
+    n = K.shape[0]
+    ncomp = n // int(np.prod(shape))
+    fshape = tuple(m - m // 2 if a in axes else m
+                   for a, m in enumerate(shape))
     node = nested_dissection(fshape, width=width)
     coord = np.stack(np.unravel_index(node, fshape))
     for a in axes:
         coord[a] += shape[a] // 2
     coord = np.repeat(coord, ncomp, axis=1)
     comp = np.tile(np.arange(ncomp), len(node))
-    pos = np.full(int(np.prod(shape)) * ncomp, -1)
+    pos = np.full(n, -1)
     pos[free] = np.arange(len(free))
-    rep = pos[np.ravel_multi_index(coord, shape) * ncomp + comp]
-    keep = rep >= 0
-    coord, comp, rep = coord[:, keep], comp[keep], rep[keep]
+    keep = pos[np.ravel_multi_index(coord, shape) * ncomp + comp] >= 0
+    coord, comp = coord[:, keep], comp[keep]
     plane = {a: (shape[a] % 2 == 1) & (coord[a] == shape[a] // 2)
              for a in axes}
-    orbit = 2.0 ** sum((~plane[a]).astype(int) for a in axes)
     bits = sum(1 << a for a in axes)
-    subsets = [k for k in range(8) if not k & ~bits]
-    T, blocks = [], []
+    subsets = [k for k in range(1 << len(shape)) if not k & ~bits]
+    t_parts, a_parts, sizes = [], [], []
     for e in subsets:
-        ok = np.ones(len(rep), dtype=bool)
+        ok = np.ones(len(comp), dtype=bool)
         for a in axes:
             ok &= ~plane[a] | ((comp == a) == bool(e >> a & 1))
         idx = np.flatnonzero(ok)
-        rows, cols, vals = [], [], []
+        images, signs, moving = [], [], []
         for k in subsets:
             c = coord[:, idx].copy()
-            moving = np.ones(len(idx), dtype=bool)
+            moves = np.ones(len(idx), dtype=bool)
             for a in axes:
                 if k >> a & 1:
-                    moving &= ~plane[a][idx]
+                    moves &= ~plane[a][idx]
                     c[a] = shape[a] - 1 - c[a]
-            sign = (-1.0) ** (bin(e & k).count("1") + (k >> comp[idx] & 1))
-            image = pos[np.ravel_multi_index(c, shape) * ncomp + comp[idx]]
-            rows.append(np.flatnonzero(moving))
-            cols.append(image[moving])
-            vals.append((sign / np.sqrt(orbit[idx]))[moving])
-        Te = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
-                                                   np.concatenate(cols))),
-                           shape=(len(idx), len(free)))
-        R = Kff[rep[idx]]
-        R.data *= np.repeat(np.sqrt(orbit[idx]), np.diff(R.indptr))
-        T.append(Te)
-        blocks.append(R @ Te.T)
-    return sp.vstack(T, format="csr"), blocks
+            images.append(np.ravel_multi_index(c, shape) * ncomp + comp[idx])
+            signs.append((-1.0) ** (bin(e & k).count("1")
+                                    + (k >> comp[idx] & 1)))
+            moving.append(moves)
+        moving = np.stack(moving, axis=1)
+        orbit = moving.sum(axis=1)
+        scale = np.sqrt(orbit)
+        # row-major, so each row's entries are contiguous: T_e in CSR
+        image = np.stack(images, axis=1)[moving]
+        t = (np.stack(signs, axis=1) / scale[:, None])[moving]
+        t_parts.append((t, pos[image], orbit))
+        j = np.full(n, -1, dtype=K.indices.dtype)
+        j[image] = sum(sizes) + np.repeat(np.arange(len(idx)), orbit)
+        s = np.zeros(n)
+        s[image] = t
+        rep = images[0]
+        del c, images, signs, moving, image, t  # the row cut sets peak RSS
+        # the fold: column c of the representatives' rows goes to column
+        # j[c], scaled by s[c]; fixed dofs and dofs outside the class go
+        R = K[rep]
+        cols = j[R.indices]
+        R.data *= s[R.indices]
+        R.data *= np.repeat(scale, np.diff(R.indptr))
+        live = cols >= 0
+        dead = np.searchsorted(np.flatnonzero(~live), R.indptr)
+        a_parts.append((R.data[live], cols[live], np.diff(R.indptr - dead)))
+        del R, cols, live
+        sizes.append(len(idx))
+    # a part: the values, columns and row lengths of one class's rows
+    T, A = (sp.csr_matrix((np.concatenate(v), np.concatenate(c),
+                           np.r_[0, np.cumsum(np.concatenate(m))]),
+                          shape=(len(free), len(free)))
+            for v, c, m in (zip(*t_parts), zip(*a_parts)))
+    del a_parts
+    A = A.tocsc()
+    A.sum_duplicates()
+    return T, A, tuple(sizes)
 
 
 class EliminationSolver:
@@ -600,22 +623,22 @@ class EliminationSolver:
     Capacity extraction and ARPACK's shift-invert steps repeatedly solve with
     the same matrix and varying right-hand sides; a single sparse LU shared
     across those solves replaces thousands of CG iterations.  The system
-    must say which node grid its dofs live on (``grid_shape``): the free
-    block is permuted into nested-dissection order, with separator slabs
-    ``grid_reach`` node planes wide, and factored without further column
-    ordering or pivoting, which an SPD block does not need.  A system
+    must say which node grid its dofs live on (``grid_shape``); a system
     without a grid raises ValueError.
 
-    A 3D displacement system whose free block maps to itself, within
-    _MIRROR_RTOL = 1e-14 of its largest entry, under the mirror of one or
-    more grid axes (``_mirror_axes``) is factored in the parity basis T of
-    those mirrors instead (``_parity_blocks``): T K_ff T^T is block
-    diagonal, one block per parity class, and SuperLU factors all blocks
-    in one call.  The tolerance sits well above the assembly's own mirror
-    round-off and far below what a material off the mirror pattern misses
-    by (module docstring).  Boundary values and right-hand sides need not
-    be symmetric: T acts on vectors.  2D systems are factored whole, since
-    on a plate the basis costs more than the blocks save.
+    The free block is factored in the parity basis T of the grid axes whose
+    mirror maps it to itself (``_mirror_axes``; none for 2D systems, Korn
+    supports or materials off the mirror pattern): T K_ff T^T is block
+    diagonal, one block per parity class, each in nested-dissection order
+    with separator slabs ``grid_reach`` node planes wide
+    (``_parity_blocks``).  With no mirror, T is that order's permutation
+    and there is one block.  SuperLU factors all blocks in one call, with
+    no further column ordering or pivoting, which an SPD block does not
+    need.  The mirror tolerance, _MIRROR_RTOL = 1e-14 of the largest entry,
+    sits well above the assembly's own mirror round-off and far below what
+    a material off the mirror pattern misses by (module docstring).
+    Boundary values and right-hand sides need not be symmetric: T acts on
+    vectors.
 
     The matrix SuperLU factors is the only large object alive while it
     runs; the solver keeps the factor, not the block.  ``solve`` takes one
@@ -629,38 +652,19 @@ class EliminationSolver:
             raise ValueError("EliminationSolver needs the system's "
                              "grid_shape for its nested-dissection order")
         K = system.matrix.tocsr()
-        n = K.shape[0]
         fixed, fvals, free = system.split_dofs()
         self.free = free
         self.fixed = fixed
         self.fixed_values = fvals
-        self.n = n
-        self.Kfc = K[free][:, fixed] if len(fixed) else None
+        self.n = K.shape[0]
+        self.Kfc = K[free][:, fixed]
         self.base_rhs = system.rhs
-        self._perm = None
-        self._T = None
-        self._lu = None
         if not len(free):
             return
-        Kff, axes = _mirror_axes(K, free, shape)
-        if axes:
-            self._T, blocks = _parity_blocks(Kff, free, shape, axes,
-                                             system.grid_reach)
-            del Kff
-            sizes = tuple(b.shape[0] for b in blocks)
-            A = sp.block_diag(blocks, format="csc")
-            del blocks
-        else:
-            del Kff
-            ncomp = n // int(np.prod(shape))
-            order = nested_dissection(shape, width=system.grid_reach)
-            dofs = (order[:, None] * ncomp + np.arange(ncomp)).ravel()
-            rank = np.empty(n, dtype=int)
-            rank[dofs] = np.arange(n)
-            self._perm = np.argsort(rank[free], kind="stable")
-            q = free[self._perm]
-            sizes = (len(free),)
-            A = K[q][:, q].tocsc()
+        axes = _mirror_axes(K, free, shape)
+        self._T, A, sizes = _parity_blocks(K, free, shape, axes,
+                                           system.grid_reach)
+        self._Tt = self._T.T
         t0 = time.perf_counter()
         try:
             self._lu = spla.splu(A, permc_spec="NATURAL",
@@ -680,8 +684,7 @@ class EliminationSolver:
         b = self.base_rhs[self.free].astype(float)
         if fv.ndim == 2:
             b = np.repeat(b[:, None], fv.shape[1], axis=1)
-        if self.Kfc is not None:
-            b = b - self.Kfc @ fv
+        b = b - self.Kfc @ fv
         x = np.zeros((self.n,) + fv.shape[1:])
         x[self.fixed] = fv
         if len(self.free):
@@ -690,11 +693,7 @@ class EliminationSolver:
 
     def solve_free(self, b: np.ndarray) -> np.ndarray:
         """Kff^{-1} b for b of shape (n_free,) or (n_free, k)."""
-        if self._T is not None:
-            return self._T.T @ self._lu.solve(self._T @ b)
-        x = np.empty_like(b, dtype=float)
-        x[self._perm] = self._lu.solve(b[self._perm])
-        return x
+        return self._Tt @ self._lu.solve(self._T @ b)
 
 
 def solve_cg(system: SparseSystem, tol: float = 1e-8):

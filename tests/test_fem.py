@@ -506,6 +506,18 @@ class TestEliminationSolver:
         with pytest.raises(ValueError, match="grid_shape"):
             EliminationSolver(sysm)
 
+    def test_no_free_dofs(self):
+        sysm, _ = laplacian_1d(4)
+        for i in range(4):
+            sysm.constraints.fix(i, 0, float(i))
+        assert np.array_equal(EliminationSolver(sysm).solve(), np.arange(4.0))
+
+    def test_singular_block_raises(self):
+        sysm, _ = laplacian_1d(4)
+        sysm.matrix = sp.diags([1.0, 0.0, 1.0, 1.0]).tocsr()
+        with pytest.raises(SolverError, match="factorization failed"):
+            EliminationSolver(sysm)
+
 
 def _recursive_dissection(shape, width):
     """Reference: the dissection as a recursion over boxes."""
@@ -735,7 +747,7 @@ class TestParitySolver:
         solver = EliminationSolver(sysm)
         free, fixed = solver.free, solver.fixed
         K = sysm.matrix.tocsr()
-        assert _mirror_axes(K, free, sysm.grid_shape)[1] == axes
+        assert _mirror_axes(K, free, sysm.grid_shape) == axes
         T = solver._T
         assert np.abs((T @ T.T - sp.eye(len(free))).toarray()).max() < 1e-15
         data = np.column_stack([solver.fixed_values, np.random.default_rng(
@@ -756,7 +768,7 @@ class TestParitySolver:
         assert solver._lu.nnz < 0.75 * _plain_factor(sysm).nnz
 
     @staticmethod
-    def _fallback(case):
+    def _no_mirror(case):
         if case == "random-material":
             B = np.random.default_rng(2).normal(size=(6, 6))
             return _mirror_box((4, 5, 3), _bottom, A=B @ B.T + 6 * I6)
@@ -772,18 +784,36 @@ class TestParitySolver:
 
     @pytest.mark.parametrize("case", ["random-material", "off-centre-node",
                                       "korn", "plate-bending"])
-    def test_fallback_keeps_plain_factor(self, case):
-        sysm = self._fallback(case)
+    def test_no_mirror_is_plain_factor(self, case):
+        # no axes: T permutes the free dofs into nested-dissection order,
+        # and the block keeps every stored entry of K_ff
+        sysm = self._no_mirror(case)
         solver = EliminationSolver(sysm)
-        assert solver._T is None
-        assert solver._lu.nnz == _plain_factor(sysm).nnz
+        assert _mirror_axes(sysm.matrix.tocsr(), solver.free,
+                            sysm.grid_shape) == ()
+        T = solver._T
+        assert np.all(T.data == 1.0)
+        assert np.array_equal(np.diff(T.indptr), np.ones(T.shape[0]))
+        assert np.array_equal(np.sort(T.indices), np.arange(T.shape[1]))
+        plain = _plain_factor(sysm)
+        assert solver._lu.nnz == plain.nnz
+        b = np.random.default_rng(3).normal(size=(len(solver.free), 2))
+        q = T.indices
+        x = np.empty_like(b)
+        x[q] = plain.solve(b[q])
+        assert np.array_equal(solver.solve_free(b), x)
 
-    def test_info_line_per_factorization(self, caplog):
-        sysm = _mirror_box((4, 5, 3), _bottom)
+    @pytest.mark.parametrize("case, line", [
+        ("mirror-box", "mirror axes (0, 1)"),
+        ("korn", "mirror axes (), blocks (903,)")],
+        ids=["mirror-box", "korn"])
+    def test_info_line_per_factorization(self, caplog, case, line):
+        sysm = (_mirror_box((4, 5, 3), _bottom) if case == "mirror-box"
+                else self._no_mirror(case))
         with caplog.at_level(logging.INFO, logger="platecap.fem"):
             solver = EliminationSolver(sysm)
         [record] = caplog.records
         msg = record.getMessage()
         assert f"{len(solver.free)} free dofs" in msg
-        assert "mirror axes (0, 1)" in msg
+        assert line in msg
         assert f"L+U nnz {solver._lu.nnz}" in msg
