@@ -38,6 +38,14 @@ off the mirror pattern misses by O(1).  So the reduced solves agree with
 the full factor to round-off.  2D systems are never reduced: on a plate
 the basis costs more than the blocks save.
 
+A direct solve peaks in memory at the end of the factorization, and glibc
+keeps much of what the setup frees resident, so the setup cuts K in slabs
+of rows and copies it as little as it can.  On the default capacity box
+(K 26 MB) the mirror check holds 0.35 times the bytes of K, the fixed-
+column cut 0.13 times and the fold the blocks plus 0.39 times (tracemalloc),
+and a capacity run peaks at about 270 MB of RSS, of which the factor takes
+135 MB.
+
 The smallest eigenpair of a pencil (K, M) comes from ARPACK in shift-invert
 mode, whose inner solves reuse that one factorization of K.  The iterative
 path is SciPy's Jacobi-preconditioned CG.
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -60,6 +69,8 @@ log = logging.getLogger(__name__)
 
 # mirror tolerance of a free block, relative to its largest entry
 _MIRROR_RTOL = 1e-14
+# rows of K that the mirror check and the fold cut at a time
+_SLAB_ROWS = 2048
 
 
 class MeshError(ValueError):
@@ -488,8 +499,10 @@ def _mirror_axes(K: sp.csr_matrix, free: np.ndarray, shape: tuple) -> tuple:
     O(n) check that runs first, and the free rows of K to themselves within
     _MIRROR_RTOL times the largest entry of K.  The rows of the half
     i_a >= n_a // 2 hold every pair of mirrored entries, so only they are
-    compared.  2D systems are never reduced: on a plate at spacing 1/128
-    the blocks saved 15-30 ms of SuperLU time and the basis cost more.
+    compared, _SLAB_ROWS at a time: the check's temporaries do not grow
+    with the box, and it stops at the first slab that misses.  2D systems
+    are never reduced: on a plate at spacing 1/128 the blocks saved 15-30
+    ms of SuperLU time and the basis cost more.
     """
     n = K.shape[0]
     ncomp = n // int(np.prod(shape))
@@ -502,18 +515,26 @@ def _mirror_axes(K: sp.csr_matrix, free: np.ndarray, shape: tuple) -> tuple:
                   if np.array_equal(mask, np.flip(mask, axis=a))]
     dofs = np.arange(n).reshape(*shape, ncomp)
     coords = np.unravel_index(free // ncomp, shape)
+    tol = _MIRROR_RTOL * max(K.data.max(), -K.data.min())
     axes = []
     for a in candidates:
         image = np.flip(dofs, axis=a).ravel()
         sign = np.where(np.arange(n) % ncomp == a, -1.0, 1.0)
         half = free[coords[a] >= shape[a] // 2]
-        R = K[image[half]]
-        data = R.data * sign[R.indices] * np.repeat(sign[half],
-                                                    np.diff(R.indptr))
-        R = sp.csr_matrix((data, image[R.indices], R.indptr), shape=R.shape)
-        if abs(R - K[half]).max() <= _MIRROR_RTOL * np.abs(K.data).max():
+        if all(_mirror_misfit(K, image, sign, half[i:i + _SLAB_ROWS]) <= tol
+               for i in range(0, len(half), _SLAB_ROWS)):
             axes.append(a)
     return tuple(axes)
+
+
+def _mirror_misfit(K: sp.csr_matrix, image: np.ndarray, sign: np.ndarray,
+                   rows: np.ndarray) -> float:
+    """Largest entry of |M K M - K| on the given rows, M the mirror that
+    maps dof d to sign[d] times dof image[d]."""
+    R = K[image[rows]]
+    data = R.data * sign[R.indices] * np.repeat(sign[rows], np.diff(R.indptr))
+    R = sp.csr_matrix((data, image[R.indices], R.indptr), shape=R.shape)
+    return abs(R - K[rows]).max()
 
 
 def _parity_blocks(K: sp.csr_matrix, free: np.ndarray, shape: tuple,
@@ -545,6 +566,10 @@ def _parity_blocks(K: sp.csr_matrix, free: np.ndarray, shape: tuple,
     Unlike a sparse product, the fold keeps the assembly's stored zeros,
     on which SuperLU's supernodes rely: dropping them from a Korn block
     slowed its factor by 4-12 % although L+U shrank.
+
+    The fold reads K _SLAB_ROWS rows at a time and writes each block once,
+    into the arrays of A; its one larger temporary is the CSC copy of one
+    class.  With one class that copy is A.
     """
     n = K.shape[0]
     ncomp = n // int(np.prod(shape))
@@ -556,20 +581,33 @@ def _parity_blocks(K: sp.csr_matrix, free: np.ndarray, shape: tuple,
         coord[a] += shape[a] // 2
     coord = np.repeat(coord, ncomp, axis=1)
     comp = np.tile(np.arange(ncomp), len(node))
-    pos = np.full(n, -1)
+    pos = np.full(n, -1, dtype=K.indices.dtype)
     pos[free] = np.arange(len(free))
-    keep = pos[np.ravel_multi_index(coord, shape) * ncomp + comp] >= 0
-    coord, comp = coord[:, keep], comp[keep]
+    dof = np.ravel_multi_index(coord, shape) * ncomp + comp
+    keep = pos[dof] >= 0
+    coord, comp, dof = coord[:, keep], comp[keep], dof[keep]
     plane = {a: (shape[a] % 2 == 1) & (coord[a] == shape[a] // 2)
              for a in axes}
     bits = sum(1 << a for a in axes)
     subsets = [k for k in range(1 << len(shape)) if not k & ~bits]
-    t_parts, a_parts, sizes = [], [], []
+    classes = []
     for e in subsets:
         ok = np.ones(len(comp), dtype=bool)
         for a in axes:
             ok &= ~plane[a] | ((comp == a) == bool(e >> a & 1))
-        idx = np.flatnonzero(ok)
+        classes.append(np.flatnonzero(ok))
+    # one buffer holds every block: the folded rows of a class are written
+    # at its end in CSR, go to CSC and are written back in place, so the
+    # only temporary of a class is its CSC copy.  It is sized by the free
+    # columns of each row, an upper bound on the folded entries.
+    rowlen = np.diff(K.indptr) - np.diff(K[:, np.flatnonzero(pos < 0)].indptr)
+    room = sum(int(rowlen[dof[idx]].sum()) for idx in classes)
+    data = np.empty(room)
+    index = np.empty(room, dtype=K.indices.dtype)
+    indptr = np.zeros(len(free) + 1, dtype=K.indices.dtype)
+    t_parts, sizes = [], []
+    off = end = 0
+    for e, idx in zip(subsets, classes):
         images, signs, moving = [], [], []
         for k in subsets:
             c = coord[:, idx].copy()
@@ -590,30 +628,53 @@ def _parity_blocks(K: sp.csr_matrix, free: np.ndarray, shape: tuple,
         t = (np.stack(signs, axis=1) / scale[:, None])[moving]
         t_parts.append((t, pos[image], orbit))
         j = np.full(n, -1, dtype=K.indices.dtype)
-        j[image] = sum(sizes) + np.repeat(np.arange(len(idx)), orbit)
+        j[image] = np.repeat(np.arange(len(idx)), orbit)
         s = np.zeros(n)
         s[image] = t
-        rep = images[0]
-        del c, images, signs, moving, image, t  # the row cut sets peak RSS
-        # the fold: column c of the representatives' rows goes to column
-        # j[c], scaled by s[c]; fixed dofs and dofs outside the class go
-        R = K[rep]
-        cols = j[R.indices]
-        R.data *= s[R.indices]
-        R.data *= np.repeat(scale, np.diff(R.indptr))
-        live = cols >= 0
-        dead = np.searchsorted(np.flatnonzero(~live), R.indptr)
-        a_parts.append((R.data[live], cols[live], np.diff(R.indptr - dead)))
-        del R, cols, live
-        sizes.append(len(idx))
-    # a part: the values, columns and row lengths of one class's rows
-    T, A = (sp.csr_matrix((np.concatenate(v), np.concatenate(c),
-                           np.r_[0, np.cumsum(np.concatenate(m))]),
+        rep = dof[idx]
+        del c, images, signs, moving, image, t
+        # the fold, a slab of rows at a time: column c of the
+        # representatives' rows goes to column j[c], scaled by s[c]; fixed
+        # dofs and dofs outside the class go
+        row_ptr = np.zeros(len(idx) + 1, dtype=K.indices.dtype)
+        p = end
+        for i in range(0, len(idx), _SLAB_ROWS):
+            R = K[rep[i:i + _SLAB_ROWS]]
+            cols = j[R.indices]
+            R.data *= s[R.indices]
+            R.data *= np.repeat(scale[i:i + _SLAB_ROWS], np.diff(R.indptr))
+            live = cols >= 0
+            m = np.count_nonzero(live)
+            data[p:p + m] = R.data[live]
+            index[p:p + m] = cols[live]
+            dead = np.searchsorted(np.flatnonzero(~live), R.indptr[1:])
+            row_ptr[i + 1:i + 1 + R.shape[0]] = p - end + R.indptr[1:] - dead
+            p += m
+        del j, s
+        # set, not passed: the constructor would copy a view of a small
+        # part of the buffer
+        size = len(idx)
+        B = sp.csr_matrix((size, size))
+        B.data, B.indices, B.indptr = data[end:p], index[end:p], row_ptr
+        B = B.tocsc()
+        B.sum_duplicates()
+        if len(classes) == 1:
+            A = B      # the one class's CSC is the whole block
+        else:
+            nnz = B.nnz
+            data[end:end + nnz] = B.data
+            np.add(B.indices, off, out=index[end:end + nnz])
+            indptr[off + 1:off + size + 1] = B.indptr[1:] + end
+            end += nnz
+        del B
+        off += size
+        sizes.append(size)
+    if len(classes) > 1:
+        A = sp.csc_matrix((data[:end], index[:end], indptr),
                           shape=(len(free), len(free)))
-            for v, c, m in (zip(*t_parts), zip(*a_parts)))
-    del a_parts
-    A = A.tocsc()
-    A.sum_duplicates()
+    t, tcol, orbit = (np.concatenate(v) for v in zip(*t_parts))
+    T = sp.csr_matrix((t, tcol, np.r_[0, np.cumsum(orbit)]),
+                      shape=(len(free), len(free)))
     return T, A, tuple(sizes)
 
 
@@ -640,10 +701,14 @@ class EliminationSolver:
     Boundary values and right-hand sides need not be symmetric: T acts on
     vectors.
 
-    The matrix SuperLU factors is the only large object alive while it
-    runs; the solver keeps the factor, not the block.  ``solve`` takes one
-    set of boundary values (n_fixed,) or a batch (n_fixed, k) and solves
-    all k right-hand sides in one triangular sweep.
+    While SuperLU runs, the caller's K, the block, T and Kfc (the free
+    rows' fixed columns, cut column first) are alive beside the factor;
+    the solver then keeps the factor, T and Kfc, not the block.  The
+    temporaries before that are bounded: the mirror check and the fold read
+    K in slabs of rows, the fold's extra is the CSC copy of one parity
+    class, and the fixed-column cut copies only those columns.  ``solve``
+    takes one set of boundary values (n_fixed,) or a batch (n_fixed, k) and
+    solves all k right-hand sides in one triangular sweep.
     """
 
     def __init__(self, system: SparseSystem):
@@ -657,7 +722,7 @@ class EliminationSolver:
         self.fixed = fixed
         self.fixed_values = fvals
         self.n = K.shape[0]
-        self.Kfc = K[free][:, fixed]
+        self.Kfc = K[:, fixed][free]
         self.base_rhs = system.rhs
         if not len(free):
             return
@@ -673,18 +738,18 @@ class EliminationSolver:
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}")
         log.info("factor: %d free dofs, mirror axes %s, blocks %s, "
-                 "L+U nnz %d, %.3f s", len(free), axes, sizes,
-                 self._lu.nnz, time.perf_counter() - t0)
+                 "L+U nnz %d, %.3f s, peak RSS %.0f MB", len(free), axes,
+                 sizes, self._lu.nnz, time.perf_counter() - t0,
+                 resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
     def solve(self, fixed_values: np.ndarray | None = None) -> np.ndarray:
         """Full solution(s) for the given boundary values: (n,) for data
         (n_fixed,), (n, k) for a batch (n_fixed, k)."""
         fv = self.fixed_values if fixed_values is None else \
             np.asarray(fixed_values, dtype=float)
-        b = self.base_rhs[self.free].astype(float)
-        if fv.ndim == 2:
-            b = np.repeat(b[:, None], fv.shape[1], axis=1)
-        b = b - self.Kfc @ fv
+        b = self.Kfc @ -fv
+        rhs = self.base_rhs[self.free]
+        b += rhs[:, None] if fv.ndim == 2 else rhs
         x = np.zeros((self.n,) + fv.shape[1:])
         x[self.fixed] = fv
         if len(self.free):

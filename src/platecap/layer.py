@@ -88,12 +88,20 @@ def _half_axis(T: float, step: float, core: float, cap: float):
             if step * m >= rem:  # ratio 1 already overshoots: uniform tail
                 m = max(int(math.ceil(rem / step - 1e-9)), 1)
                 vals.extend(core + rem * (k + 1) / m for k in range(m))
+            elif geom(m, cap) < rem:
+                raise MeshError("the graded tail needs more than 500 "
+                                "intervals at this growth cap")
             else:
-                # scipy.optimize is slow to import and only needed here
-                from scipy.optimize import brentq
-
-                q = brentq(lambda x: geom(m, x) - rem, 1.0 + 1e-10, cap,
-                           xtol=1e-13)
+                # bisection: geom(m, .) increases on (1, cap] and crosses
+                # rem there
+                lo, hi = 1.0 + 1e-10, cap
+                while hi - lo > 1e-13:
+                    mid = 0.5 * (lo + hi)
+                    if geom(m, mid) < rem:
+                        lo = mid
+                    else:
+                        hi = mid
+                q = 0.5 * (lo + hi)
                 r = core
                 for k in range(1, m + 1):
                     r += step * q ** k
@@ -660,8 +668,10 @@ def extract_capacity(mesh: LayerMesh, A, *, annulus=(0.55, 0.8)):
     cons = ConstraintSet(ncomp=3)
     cons.fix_nodes(mesh.theta_nodes, value=0.0)
     cons.fix_nodes(mesh.outer_nodes, value=0.0)
-    system = assemble_elastic(grid, Amat, cons)
-    solver = EliminationSolver(system)
+    solver = EliminationSolver(assemble_elastic(grid, Amat, cons))
+    # rows of the outer-wall dofs among the fixed ones; the patch stays 0
+    wall = np.searchsorted(
+        solver.fixed, (mesh.outer_nodes[:, None] * 3 + np.arange(3)).ravel())
 
     outer_pts = nodes[mesh.outer_nodes]
     D_outer = rigid_sharp(outer_pts)
@@ -684,9 +694,9 @@ def extract_capacity(mesh: LayerMesh, A, *, annulus=(0.55, 0.8)):
         """Box solutions (k, n_nodes, 3) for k sets of outer-wall data
         (n_outer, 3, k), all k in one batched solve."""
         k = bvals.shape[2]
-        data = np.zeros((grid.n_nodes, 3, k))
-        data[mesh.outer_nodes] = bvals
-        x = solver.solve(fixed_values=data.reshape(-1, k)[solver.fixed])
+        data = np.zeros((len(solver.fixed), k))
+        data[wall] = bvals.reshape(-1, k)
+        x = solver.solve(fixed_values=data)
         return np.moveaxis(x.reshape(grid.n_nodes, 3, k), 2, 0)
 
     def fit_column(col: int, field_vals: np.ndarray) -> FitResult:

@@ -1,5 +1,7 @@
 """Structured FEM: assembly oracles, CG, constrained solves, eigenpairs."""
 import logging
+import re
+import resource
 import tracemalloc
 
 import numpy as np
@@ -7,17 +9,19 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from platecap import fem
 from platecap.elastic import (isotropic_stiffness, reduced_stiffness,
                               rigid_motion_matrix, strain_matrix)
 from platecap.fem import (ConstraintSet, EliminationSolver, MeshError,
                           SolverError, SparseSystem, StructuredGrid,
-                          _mirror_axes, _ref_quadrature, _shape_gradients,
-                          _shape_values,
+                          _mirror_axes, _parity_blocks, _ref_quadrature,
+                          _shape_gradients, _shape_values,
                           apply_mass, assemble_elastic, assemble_load,
                           assemble_pointwise_form, nested_dissection,
                           smallest_eigenpair, solve_cg, solve_constrained)
 from platecap.inequalities import SupportLayout, korn_system
 from platecap.kirchhoff import PlateDomain, bending_system
+from platecap.layer import layer_mesh
 
 I6 = np.eye(6)
 
@@ -817,3 +821,69 @@ class TestParitySolver:
         assert f"{len(solver.free)} free dofs" in msg
         assert line in msg
         assert f"L+U nnz {solver._lu.nnz}" in msg
+        # the process's peak RSS so far, in MB
+        peak = float(re.search(r", peak RSS (\d+) MB$", msg).group(1))
+        assert 0 < peak <= resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024 + 1
+
+
+def _nbytes(M):
+    return M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+
+
+def _traced(f):
+    """(f(), peak bytes that tracemalloc saw while f ran)."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class _SetupCut(Exception):
+    pass
+
+
+class TestSetupMemory:
+    """The temporaries of the solver setup on the default capacity box.
+
+    tracemalloc sees numpy's buffers but not SuperLU's, so these peaks are
+    deterministic; each bound has at least 25 % headroom over its
+    measurement (0.35, 0.13 and 0.39 times the bytes of K)."""
+
+    @pytest.fixture(scope="class")
+    def box(self):
+        mesh = layer_mesh()
+        cons = ConstraintSet(ncomp=3)
+        cons.fix_nodes(mesh.theta_nodes)
+        cons.fix_nodes(mesh.outer_nodes)
+        return assemble_elastic(mesh.grid, isotropic_stiffness(1.0, 1.0),
+                                cons)
+
+    def test_mirror_check(self, box):
+        K, free = box.matrix, box.free_dofs()
+        axes, peak = _traced(lambda: _mirror_axes(K, free, box.grid_shape))
+        assert axes == (0, 1)
+        assert peak <= 0.5 * _nbytes(K)
+
+    def test_fixed_columns_cut(self, box, monkeypatch):
+        # everything the setup holds before the mirror check: the dof split
+        # and the cut of the free rows' fixed columns
+        peaks = []
+
+        def stop(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise _SetupCut
+
+        monkeypatch.setattr(fem, "_mirror_axes", stop)
+        with pytest.raises(_SetupCut):
+            _traced(lambda: EliminationSolver(box))
+        assert peaks[0] <= 0.2 * _nbytes(box.matrix)
+
+    def test_fold(self, box):
+        K, free = box.matrix, box.free_dofs()
+        (T, A, sizes), peak = _traced(lambda: _parity_blocks(
+            K, free, box.grid_shape, (0, 1), 1))
+        assert len(sizes) == 4
+        assert peak <= _nbytes(A) + 0.5 * _nbytes(K)

@@ -2,7 +2,11 @@
 template, capacity extraction."""
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,43 @@ class TestLayerMesh:
         a, b = layer_mesh(), layer_mesh(n_z=8)
         assert a.signature != b.signature
         assert a.signature == layer_mesh().signature
+
+    @pytest.mark.parametrize("make", [
+        layer_mesh, lambda: layer_mesh().refined(),
+        lambda: layer_mesh().with_box(12.0),
+        lambda: layer_mesh(inner_step=0.125)],
+        ids=["default", "refined", "box-12", "step-0.125"])
+    def test_growth_ratio_matches_brentq(self, make):
+        from scipy.optimize import brentq
+
+        m = make()
+        step, rem = m.inner_step, m.T - m.core_radius
+
+        def geom(k, q):
+            return step * q * (q ** k - 1.0) / (q - 1.0)
+
+        k = 1
+        while geom(k, m.growth_cap) < rem:
+            k += 1
+        q = brentq(lambda x: geom(k, x) - rem, 1.0 + 1e-10, m.growth_cap,
+                   xtol=1e-13)
+        assert abs(m.growth - q) <= 2e-13
+
+    def test_tail_grading_beyond_cap_raises(self):
+        with pytest.raises(MeshError, match="500 intervals"):
+            layer_mesh(T=200.0, growth_cap=1.0000001)
+
+    def test_mesh_leaves_scipy_optimize_unloaded(self):
+        script = ("import sys\n"
+                  "from platecap.layer import layer_mesh\n"
+                  "layer_mesh()\n"
+                  "print('scipy.optimize' in sys.modules)\n")
+        src = str(Path(layer.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestRigidSharp:
